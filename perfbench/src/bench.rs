@@ -69,7 +69,7 @@ pub const WORKLOADS: &[Workload] = &[
         name: "ssq-highipc-oracle",
         sweep: Sweep::SsqHighIpc,
         trace_len: 100_000,
-        seeds_per_run: 4,
+        seeds_per_run: 8,
         oracle: true,
         warm_cache: false,
     },

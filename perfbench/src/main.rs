@@ -6,7 +6,8 @@
 //! ```
 //!
 //! With `--trace 0` it sets the workload up several times, then repeats the
-//! workload with tracing off for `--seconds` and prints the end-to-end metrics.
+//! workload with tracing off for `--seconds` and prints the end-to-end metrics,
+//! whose timings are calibrated to the host's speed by `probe`.
 //! With `--trace 1` it replays the workload's cells on one thread through the
 //! layers' public calls, alternately untraced and traced, and prints the per-layer
 //! metrics. Every output is checked; the last stdout line is the JSON result and
@@ -15,6 +16,7 @@
 mod bench;
 mod layers;
 mod measure;
+mod probe;
 mod spans;
 
 use std::io::BufWriter;
@@ -27,6 +29,7 @@ use bench::{
     replay, Mismatch, Render, Scratch, Workload, DEFAULT_SEED, JOBS,
 };
 use measure::{describe_tail, median, result_line, END_TO_END, PER_LAYER};
+use probe::HostProbe;
 use spans::Tracer;
 use svw_sim::{ResolvedSpec, SweepPlan};
 
@@ -275,17 +278,20 @@ fn set_up(
     })
 }
 
-/// The untraced run: repeated set-up, then timed repetitions for `--seconds`.
+/// The untraced run: repeated set-up, then timed repetitions for `--seconds`, with
+/// the host-speed probe running throughout to calibrate each timing.
 fn timed(args: &Args, scratch: &mut Scratch) -> Result<Outcome, Mismatch> {
     let w = args.workload;
     let seeds = w.seeds(args.seed);
     let mut problems = Vec::new();
-    let mut setup_s = Vec::new();
+    let probe = HostProbe::start();
+    // (start, wall) of every set-up and repetition, calibrated once the probe stops.
+    let mut setups = Vec::new();
     let mut last: Option<SetUp> = None;
     for _ in 0..SETUP_REPS {
         let start = Instant::now();
         let next = set_up(w, &seeds, scratch, &mut problems)?;
-        setup_s.push(start.elapsed().as_secs_f64());
+        setups.push((start, start.elapsed()));
         if let (Some((old_dir, old_cold)), Some((_, cold))) =
             (last.as_ref().and_then(|l| l.filled.as_ref()), &next.filled)
         {
@@ -317,10 +323,10 @@ fn timed(args: &Args, scratch: &mut Scratch) -> Result<Outcome, Mismatch> {
         reference = Some(cold.clone());
     }
 
-    let (mut walls, mut attempted, mut failed) = (Vec::new(), 0, 0);
+    let (mut reps, mut attempted, mut failed) = (Vec::new(), 0, 0);
     let budget = Duration::from_secs(args.seconds);
     let timed_start = Instant::now();
-    while walls.len() < MIN_REPS || timed_start.elapsed() < budget {
+    while reps.len() < MIN_REPS || timed_start.elapsed() < budget {
         let start = Instant::now();
         let render = match &filled {
             Some((dir, _)) => {
@@ -337,7 +343,7 @@ fn timed(args: &Args, scratch: &mut Scratch) -> Result<Outcome, Mismatch> {
             }
             None => w.render(&specs, &seeds, JOBS, None),
         };
-        walls.push(start.elapsed().as_secs_f64());
+        reps.push((start, start.elapsed()));
         attempted += cells;
         failed += render.failed_cells;
         if !render.errors.is_empty() {
@@ -345,7 +351,7 @@ fn timed(args: &Args, scratch: &mut Scratch) -> Result<Outcome, Mismatch> {
         }
         match &reference {
             Some(r) if *r != render => {
-                problems.push(format!("repetition {} rendered differently", walls.len()))
+                problems.push(format!("repetition {} rendered differently", reps.len()))
             }
             Some(_) => {}
             None => {
@@ -362,13 +368,38 @@ fn timed(args: &Args, scratch: &mut Scratch) -> Result<Outcome, Mismatch> {
     }
     problems.dedup();
 
+    let speeds = probe.finish();
+    let raw = |spans: &[(Instant, Duration)]| -> Vec<f64> {
+        spans.iter().map(|(_, d)| d.as_secs_f64()).collect()
+    };
+    let calibrated = |spans: &[(Instant, Duration)]| -> Vec<f64> {
+        spans
+            .iter()
+            .map(|&(at, d)| speeds.calibrate(at, d))
+            .collect()
+    };
+    let (setup_s, walls) = (calibrated(&setups), calibrated(&reps));
+    let (raw_setup_s, raw_walls) = (raw(&setups), raw(&reps));
     let insts = insts as f64;
     let wall_s = median(&walls);
     eprintln!(
-        "{}: setup_s {setup_s:?} (median {:.4}), wall_s {walls:?} median {wall_s:.6} {}, {cells} cells/repetition",
+        "{}: calibrated setup_s {setup_s:?} (median {:.4}), wall_s {walls:?} median {wall_s:.6} {}, \
+         {cells} cells/repetition",
         w.name,
         median(&setup_s),
         describe_tail(&walls),
+    );
+    eprintln!(
+        "{}: raw setup_s {raw_setup_s:?} (median {:.4}), wall_s {raw_walls:?} (median {:.6}); \
+         host speed mean {:.4}, p10 {:.4}, p50 {:.4}, p90 {:.4} over {} probe samples",
+        w.name,
+        median(&raw_setup_s),
+        median(&raw_walls),
+        speeds.overall(),
+        speeds.quantile(0.1),
+        speeds.quantile(0.5),
+        speeds.quantile(0.9),
+        speeds.len(),
     );
     let metrics = vec![
         ("setup_s", median(&setup_s)),
@@ -389,6 +420,11 @@ fn timed(args: &Args, scratch: &mut Scratch) -> Result<Outcome, Mismatch> {
         ("repetitions", walls.len().to_string()),
         ("cells_per_repetition", cells.to_string()),
         ("wall_s_tail", format!("\"{}\"", describe_tail(&walls))),
+        ("raw_setup_s", median(&raw_setup_s).to_string()),
+        ("raw_wall_s", median(&raw_walls).to_string()),
+        ("host_speed", speeds.overall().to_string()),
+        ("probe_samples", speeds.len().to_string()),
+        ("probe_reference_ns", probe::REFERENCE_NS.to_string()),
     ];
     Ok(Outcome {
         attempted,
