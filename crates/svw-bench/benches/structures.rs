@@ -2,7 +2,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use svw_core::{Ssbf, SsbfConfig, Ssn, SsnClock, SsnWidth, SvwConfig, SvwFilter, VulnWindow};
+use svw_core::{
+    Ssbf, SsbfConfig, SsbfProbe, SsbfUpdate, Ssn, SsnClock, SsnWidth, SvwConfig, SvwFilter,
+    VulnWindow,
+};
 use svw_rle::{IntegrationTable, ItConfig, ItEntry, ItSignature, RleKind};
 
 fn bench_ssbf_organisations(c: &mut Criterion) {
@@ -79,9 +82,61 @@ fn bench_integration_table(c: &mut Criterion) {
     });
 }
 
+/// The batched SSBF hot-path APIs versus their scalar equivalents, over the
+/// commit-width batches the re-execution stage actually issues.
+fn bench_ssbf_batched(c: &mut Criterion) {
+    // Commit-width batches, as the re-execution stage issues them.
+    const BATCH: usize = 8;
+    const OPS: usize = 4096;
+    let updates: Vec<SsbfUpdate> = (0..OPS as u64)
+        .map(|i| ((i * 24) % 65536, 8, Ssn::new(i + 1)))
+        .collect();
+    let probes: Vec<SsbfProbe> = (0..OPS as u64)
+        .map(|i| (((i * 24) ^ 0x40) % 65536, 8))
+        .collect();
+
+    let mut group = c.benchmark_group("ssbf_batched");
+    for (name, cfg) in [
+        ("simple_512", SsbfConfig::paper_default()),
+        ("double_bloom", SsbfConfig::double_bloom()),
+        ("word_granularity", SsbfConfig::word_granularity()),
+    ] {
+        group.bench_function(format!("{name}/scalar"), |b| {
+            let mut ssbf = Ssbf::new(cfg);
+            b.iter(|| {
+                let mut conservative = 0u64;
+                for (upd, prb) in updates.chunks(BATCH).zip(probes.chunks(BATCH)) {
+                    for &(addr, bytes, ssn) in upd {
+                        ssbf.update_store(addr, bytes, ssn);
+                    }
+                    for &(addr, bytes) in prb {
+                        conservative += ssbf.must_reexecute(addr, bytes, Ssn::new(4)) as u64;
+                    }
+                }
+                black_box(conservative)
+            })
+        });
+        group.bench_function(format!("{name}/batched"), |b| {
+            let mut ssbf = Ssbf::new(cfg);
+            let mut conflicts = Vec::with_capacity(BATCH);
+            b.iter(|| {
+                let mut conservative = 0u64;
+                for (upd, prb) in updates.chunks(BATCH).zip(probes.chunks(BATCH)) {
+                    ssbf.update_batch(upd);
+                    ssbf.probe_batch(prb, &mut conflicts);
+                    conservative += conflicts.iter().filter(|&&c| c > Ssn::new(4)).count() as u64;
+                }
+                black_box(conservative)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     structures,
     bench_ssbf_organisations,
+    bench_ssbf_batched,
     bench_ssn_clock,
     bench_filter_end_to_end,
     bench_integration_table

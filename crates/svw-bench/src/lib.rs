@@ -3,8 +3,8 @@
 //! Criterion benchmarks for the SVW reproduction. There are two groups:
 //!
 //! * `structures` — micro-benchmarks of the SVW hardware structures themselves (SSBF
-//!   update/lookup under each organisation, SSN clock operations, integration-table
-//!   lookups), establishing that the simulated structures are cheap to model;
+//!   update/lookup under each organisation, scalar and commit-width batched, SSN
+//!   clock operations, integration-table lookups), establishing that the simulated structures are cheap to model;
 //! * `figures` — scaled-down end-to-end runs of every figure/table configuration pair
 //!   (one benchmark per paper artifact), which double as regression benchmarks for the
 //!   simulator's own throughput.

@@ -15,14 +15,14 @@ use std::process::ExitCode;
 use svw_cpu::Cpu;
 use svw_sim::events::kind as event_kind;
 use svw_sim::{
-    artifact_trace_keys, expected_cells, json, merge_shards, presets, profile_events, registry,
-    render_artifact, render_resolved, run_cells, AdaptiveOpts, CacheMode, CellId, EventSink,
-    ExperimentCtx, FigureReport, JsonlSink, MergeInput, OracleOptions, Progress, ResultCache,
-    RunOptions, Shard, Stat, StatsCollector, SweepMetrics, SweepObserver, LATEST_MODEL_VERSION,
+    expected_cells, json, merge_shards, presets, profile_events, registry, render_artifact,
+    render_resolved, run_cells, AdaptiveOpts, CacheMode, CellId, EventSink, ExperimentCtx,
+    FigureReport, JsonlSink, MergeInput, OracleOptions, Progress, ResultCache, RunOptions, Shard,
+    Stat, StatsCollector, SweepMetrics, SweepObserver, LATEST_MODEL_VERSION,
 };
 use svw_sim::{DEFAULT_SEED, DEFAULT_TRACE_LEN};
-use svw_trace::{TraceCache, TraceReader};
-use svw_workloads::{ArenaPin, TraceArenas, WorkloadProfile};
+use svw_trace::TraceReader;
+use svw_workloads::WorkloadProfile;
 
 const USAGE: &str = "\
 svwsim — Store Vulnerability Window (ISCA 2005) reproduction driver
@@ -43,8 +43,6 @@ COMMANDS:
     merge      validate and stitch sharded sweep JSONL files into one result set
     coordinate two-phase distributed-adaptive driver: merge shard streams, apply
                the CI-target stopping rule globally, requeue work as plan files
-    pack-traces
-               capture every trace a sweep needs into one .svwtb bundle
     profile    aggregate --events journals into phase breakdowns, slowest
                cells, and per-worker utilization
     experiments
@@ -74,15 +72,16 @@ SWEEP:
                            adversarial-ssbf|adversarial-svw>
                  [--trace-len N] [--seed N] [--seeds K] [--jobs N]
                  [--out results.jsonl] [--shard I/N|auto] [--ci-target PCT]
-                 [--trace-bundle FILE.svwtb] [--substrate] [--json]
+                 [--substrate] [--json]
     svwsim sweep --spec (FILE.toml | builtin:NAME) [same options]
     svwsim sweep --plan ROUND.plan.jsonl --shard I/N [--out shardI.jsonl]
-                 [--trace-bundle FILE.svwtb]
     Every (workload, configuration, seed) cell is an independent unit of work
     drained from a shared queue by the worker threads, so wide matrices saturate
-    all cores. With `--out`, each finished cell is appended to the JSONL file
-    immediately; re-running the same sweep with the same file *resumes*, skipping
-    the cells already present (failed cells are re-tried).
+    all cores. Each (workload, seed) trace is generated once per sweep matrix,
+    shared by that pair's cells, and freed after the last of them. With
+    `--out`, each finished cell is appended to the JSONL file immediately;
+    re-running the same sweep with the same file *resumes*, skipping the cells
+    already present (failed cells are re-tried).
 
     Distributed: `--shard I/N` (I is 0-based) runs only every N-th cell, so N
     processes or machines — each with its own `--out` file — cover the sweep
@@ -135,19 +134,6 @@ COORDINATE:
     with `sweep --figure ART --ci-target ... --out merged.jsonl` — byte-identical
     to a single-process adaptive run. Exit 1 on validation errors.
 
-PACK-TRACES:
-    svwsim pack-traces --figure ART[,ART...] --out BUNDLE.svwtb
-                       [--trace-len N] [--seed N] [--seeds K] [--jobs N]
-                       [--ci-target PCT --max-seeds K]
-    Captures every trace the named sweep needs — each unique (workload
-    fingerprint, trace length, seed) once — into an indexed .svwtb bundle,
-    generating up to --jobs traces in parallel (the bundle bytes are
-    identical at every job count).
-    With --ci-target, packs seeds seed..seed+max-seeds (everything adaptive
-    sampling might request). Ship the bundle with the shard inputs and run
-    sweeps with `--trace-bundle BUNDLE.svwtb`: shards then read traces instead
-    of regenerating them (verify with --stats: \"0 generated\").
-
 MERGE:
     svwsim merge SHARD.jsonl... --figure ART[,ART...] --out merged.jsonl
                  [--trace-len N] [--seed N] [--seeds K]
@@ -162,7 +148,7 @@ MERGE:
 PROFILE:
     svwsim profile EVENTS.jsonl... [--top N] [--json]
     Reads one or more --events journals (e.g. each shard's) and reports phase
-    breakdowns (trace-acquire / decode / simulate / write) in aggregate and per
+    breakdowns (trace-acquire / simulate / write) in aggregate and per
     workload, the --top N slowest cells (default 5), and per-worker busy time
     and utilization. Each input file is treated as one process's timeline.
 
@@ -193,7 +179,6 @@ COMMON OPTIONS:
                      issue-stage FP-budget quirk. Results record the version in
                      their lineage, reports carry a divergence note, and merge/
                      coordinate reject shards from a different version
-    --trace-bundle F serve workload traces from a .svwtb bundle (see PACK-TRACES)
     --substrate      append substrate-level tables (SSBF lookup/update traffic,
                      L2 miss rate) to every artifact report, text and JSON
     --jobs N         worker threads (default: all available parallelism)
@@ -201,11 +186,11 @@ COMMON OPTIONS:
     --plan FILE      sweep: execute a coordinator plan file instead of --figure
     --plan-out FILE  coordinate: where to write the next requeue plan
     --stats          dump per-worker scheduler statistics (cells drained, resets
-                     vs rebuilds, slab high-water marks) and trace-acquisition
-                     counters (generated / cache hits / bundle hits) to stderr
+                     vs rebuilds, slab high-water marks) and trace counters
+                     (generated / cells sharing a generated trace) to stderr
     --stats-json F   write the --stats counters to F as one JSON object
     --events FILE    append a kill-tolerant per-cell lifecycle event journal
-                     (planned/trace_acquired/decoded/simulated/written, worker
+                     (planned/trace_acquired/simulated/written, worker
                      ids, per-phase durations) to FILE; merge and coordinate
                      append merge_summary/round_summary events; analyze with
                      `svwsim profile`
@@ -230,24 +215,14 @@ COMMON OPTIONS:
                      oracle detects a wrong value; the simulation itself is
                      untouched. Requires --oracle
     --json           emit machine-readable JSON instead of text tables
-    --verbose        log trace-cache activity to stderr
-    --no-cache       regenerate workloads instead of using the trace cache
-    --no-recycle     build a fresh Cpu per cell instead of recycling worker arenas
-                     (results are identical either way; this is an A/B check)
-    --no-shared-decode
-                     decode each cell's trace independently instead of sharing
-                     one decoded arena per (workload, seed) across the cells and
-                     matrices that consume it (results are identical either way;
-                     this is an A/B check — `--stats` reports how many cells were
-                     served a shared decode)
-    --cache-dir DIR  trace cache root (default $SVW_TRACE_CACHE, else
-                     ~/.cache/svw/traces)
+    --verbose        log the result cache in use, trace replays, and per-artifact
+                     timings to stderr
     --result-cache DIR
                      content-addressed *result* cache: before scheduling, every
                      cell is looked up by its full identity (workload
                      fingerprint, config, seed, trace length, model version,
-                     spec fingerprint) and a hit skips trace acquisition,
-                     decode, and simulation entirely; every freshly simulated
+                     spec fingerprint) and a hit skips trace generation and
+                     simulation entirely; every freshly simulated
                      cell is published back with an atomic write, so concurrent
                      sweeps, users, and CI can share one directory (default
                      $SVW_RESULT_CACHE; unset = no result cache). Renders are
@@ -293,22 +268,13 @@ struct Common {
     metrics_out: Option<String>,
     /// Append substrate-level tables to every artifact report.
     substrate: bool,
-    /// Serve workload traces from this pre-packed `.svwtb` bundle.
-    trace_bundle: Option<String>,
     json: bool,
     verbose: bool,
-    no_cache: bool,
-    /// Build a fresh Cpu per cell instead of recycling the worker arena (A/B check).
-    no_recycle: bool,
-    /// Decode each cell's trace independently instead of sharing decoded arenas
-    /// (A/B check).
-    no_shared_decode: bool,
     /// Cross-check every simulated cell against the in-order golden model.
     oracle: bool,
     /// Corrupt the oracle checker's view of the N-th committed load per cell
     /// (self-test of the differential oracle; requires `--oracle`).
     inject_fault: Option<u64>,
-    cache_dir: Option<String>,
     /// Content-addressed result cache directory (`--result-cache`).
     result_cache: Option<String>,
     /// Ignore the result cache entirely (A/B check; overrides `--result-cache`
@@ -386,9 +352,6 @@ impl Common {
         if self.substrate {
             fail(&format!("--substrate does not apply to {command}"));
         }
-        if self.trace_bundle.is_some() {
-            fail(&format!("--trace-bundle does not apply to {command}"));
-        }
         if self.oracle {
             fail(&format!("--oracle does not apply to {command}"));
         }
@@ -416,7 +379,7 @@ impl Common {
     }
 
     /// Rejects executor/report flags for commands that never simulate a cell
-    /// (coordinate, pack-traces) — silently ignoring them would hide typos and
+    /// (coordinate) — silently ignoring them would hide typos and
     /// misconceptions, the same way [`Common::reject_sweep_flags`] guards the
     /// non-scheduler commands.
     fn reject_simulation_flags(&self, command: &str) {
@@ -426,9 +389,6 @@ impl Common {
             (self.progress, "--progress"),
             (self.metrics_out.is_some(), "--metrics-out"),
             (self.json, "--json"),
-            (self.trace_bundle.is_some(), "--trace-bundle"),
-            (self.no_recycle, "--no-recycle"),
-            (self.no_shared_decode, "--no-shared-decode"),
             (self.substrate, "--substrate"),
             (self.oracle, "--oracle"),
             (self.inject_fault.is_some(), "--inject-fault"),
@@ -484,14 +444,10 @@ fn dump_worker_stats(collector: &StatsCollector, result_cache: Option<&ResultCac
             c.store_errors,
         );
     }
-    let (generated, cache_hits, bundle_hits) = collector.trace_counts();
     eprintln!(
-        "  trace acquisition: {generated} generated, {cache_hits} cache hit(s), \
-         {bundle_hits} bundle hit(s)"
-    );
-    eprintln!(
-        "  shared decode: {} cell(s) served an already-decoded trace arena",
-        collector.cells_shared_decode()
+        "  traces: {} generated, {} cell(s) reused a trace generated for an earlier cell",
+        collector.traces_generated(),
+        collector.cells_shared_trace()
     );
     let extra = collector.adaptive_extra_cells();
     if extra > 0 {
@@ -502,7 +458,6 @@ fn dump_worker_stats(collector: &StatsCollector, result_cache: Option<&ResultCac
 /// `--stats-json FILE`: the machine-readable twin of [`dump_worker_stats`].
 fn write_stats_json(path: &str, collector: &StatsCollector, result_cache: Option<&ResultCache>) {
     let workers = collector.workers();
-    let (generated, cache_hits, bundle_hits) = collector.trace_counts();
     let mut fields = vec![
         (
             "workers",
@@ -519,12 +474,13 @@ fn write_stats_json(path: &str, collector: &StatsCollector, result_cache: Option
                 ])
             })),
         ),
-        ("traces_generated", json::uint(generated as u64)),
-        ("trace_cache_hits", json::uint(cache_hits as u64)),
-        ("trace_bundle_hits", json::uint(bundle_hits as u64)),
         (
-            "cells_shared_decode",
-            json::uint(collector.cells_shared_decode() as u64),
+            "traces_generated",
+            json::uint(collector.traces_generated() as u64),
+        ),
+        (
+            "cells_shared_trace",
+            json::uint(collector.cells_shared_trace() as u64),
         ),
         (
             "adaptive_extra_cells",
@@ -648,15 +604,10 @@ fn parse_common(args: Vec<String>) -> Common {
         progress: false,
         metrics_out: None,
         substrate: false,
-        trace_bundle: None,
         json: false,
         verbose: false,
-        no_cache: false,
-        no_recycle: false,
-        no_shared_decode: false,
         oracle: false,
         inject_fault: None,
-        cache_dir: None,
         result_cache: None,
         no_result_cache: false,
         result_cache_mode: None,
@@ -694,12 +645,6 @@ fn parse_common(args: Vec<String>) -> Common {
                 );
             }
             "--substrate" => c.substrate = true,
-            "--trace-bundle" => {
-                c.trace_bundle = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--trace-bundle needs a .svwtb file")),
-                );
-            }
             "--shard" => {
                 let raw = it
                     .next()
@@ -716,17 +661,8 @@ fn parse_common(args: Vec<String>) -> Common {
             }
             "--json" => c.json = true,
             "--verbose" => c.verbose = true,
-            "--no-cache" => c.no_cache = true,
-            "--no-recycle" => c.no_recycle = true,
-            "--no-shared-decode" => c.no_shared_decode = true,
             "--oracle" => c.oracle = true,
             "--inject-fault" => c.inject_fault = Some(parse_num(&mut it, "--inject-fault")),
-            "--cache-dir" => {
-                c.cache_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--cache-dir needs a directory")),
-                );
-            }
             "--result-cache" => {
                 c.result_cache = Some(
                     it.next()
@@ -783,23 +719,6 @@ fn take_flag_value(rest: &mut Vec<String>, flag: &str) -> Option<String> {
 fn reject_leftovers(rest: &[String]) {
     if let Some(first) = rest.first() {
         fail(&format!("unexpected argument {first:?}"));
-    }
-}
-
-fn open_cache(common: &Common) -> Option<TraceCache> {
-    if common.no_cache {
-        return None;
-    }
-    let result = match &common.cache_dir {
-        Some(dir) => TraceCache::new(dir),
-        None => TraceCache::open_default(),
-    };
-    match result {
-        Ok(cache) => Some(cache),
-        Err(e) => {
-            eprintln!("warning: trace cache unavailable ({e}); regenerating workloads");
-            None
-        }
     }
 }
 
@@ -1007,9 +926,6 @@ fn cmd_run(mut common: Common) {
     if common.substrate {
         fail("--substrate applies to sweep/fig*/tables, not run");
     }
-    if common.trace_bundle.is_some() {
-        fail("--trace-bundle applies to sweep/fig*/tables, not run");
-    }
     let mut rest = std::mem::take(&mut common.rest);
     let trace = take_flag_value(&mut rest, "--trace");
     let workload = take_flag_value(&mut rest, "--workload");
@@ -1118,25 +1034,18 @@ fn cmd_run(mut common: Common) {
         }
         (None, Some(w)) => {
             // One cell on the scheduler, so --out (stream + resume), --jobs, the
-            // cache, and panic capture behave exactly as they do for sweeps.
+            // result cache, and panic capture behave exactly as they do for sweeps.
             let profile = workload_by_name(&w);
-            let cache = open_cache(&common);
             let result_cache = open_result_cache(&common);
             let sink = open_sink(&common);
             let collector = (common.stats || common.stats_json.is_some()).then(StatsCollector::new);
             let observer = build_observer(&common);
             let opts = RunOptions {
-                cache: cache.as_ref(),
-                verbose: common.verbose,
                 jobs: common.jobs,
                 sink: sink.as_ref(),
-                no_recycle: common.no_recycle,
                 shard: None,
                 stats: collector.as_ref(),
-                bundle: None,
                 obs: observer.as_ref(),
-                arenas: None,
-                no_shared_decode: common.no_shared_decode,
                 oracle: common.oracle_options(),
                 result_cache: result_cache.as_ref(),
             };
@@ -1199,23 +1108,16 @@ fn run_replicated(
     config_name: &str,
 ) {
     let profile = workload_by_name(workload);
-    let cache = open_cache(common);
     let result_cache = open_result_cache(common);
     let sink = open_sink(common);
     let collector = (common.stats || common.stats_json.is_some()).then(StatsCollector::new);
     let observer = build_observer(common);
     let opts = RunOptions {
-        cache: cache.as_ref(),
-        verbose: common.verbose,
         jobs: common.jobs,
         sink: sink.as_ref(),
-        no_recycle: common.no_recycle,
         shard: None,
         stats: collector.as_ref(),
-        bundle: None,
         obs: observer.as_ref(),
-        arenas: None,
-        no_shared_decode: common.no_shared_decode,
         oracle: common.oracle_options(),
         result_cache: result_cache.as_ref(),
     };
@@ -1343,40 +1245,18 @@ fn open_sink(common: &Common) -> Option<JsonlSink> {
     })
 }
 
-/// Opens the `--trace-bundle` file, failing loudly — a mistyped bundle path would
-/// silently regenerate every trace, defeating the point of shipping bundles.
-fn open_bundle(common: &Common) -> Option<svw_trace::TraceBundle> {
-    common.trace_bundle.as_ref().map(|path| {
-        let bundle = svw_trace::TraceBundle::open(path)
-            .unwrap_or_else(|e| fail(&format!("cannot open --trace-bundle {path}: {e}")));
-        if common.verbose {
-            eprintln!(
-                "[svwsim] trace bundle {path}: {} trace(s) indexed",
-                bundle.len()
-            );
-        }
-        bundle
-    })
-}
-
 /// Builds the executor context shared by `--figure` and `--spec` sweeps, runs
 /// `render` under it, prints the reports (text or `--json`), and runs the
 /// observability/stats epilogues.
 fn render_reports(common: &Common, render: impl FnOnce(&ExperimentCtx<'_>) -> Vec<FigureReport>) {
-    let cache = open_cache(common);
     let result_cache = open_result_cache(common);
     let sink = open_sink(common);
-    let bundle = open_bundle(common);
     // --oracle forces the collector even without --stats: the per-worker failed
     // counters are how the epilogue below detects divergences across however many
     // sweeps the render ran.
     let collector =
         (common.stats || common.stats_json.is_some() || common.oracle).then(StatsCollector::new);
     let observer = build_observer(common);
-    // One decode-once arena registry per invocation: the matrices of a
-    // multi-table artifact (and the artifacts of one render) share each decoded
-    // trace instead of re-decoding it per sweep.
-    let arenas = TraceArenas::new();
     let ctx = ExperimentCtx {
         trace_len: common.trace_len,
         seeds: common.seed_list(),
@@ -1384,17 +1264,11 @@ fn render_reports(common: &Common, render: impl FnOnce(&ExperimentCtx<'_>) -> Ve
         substrate: common.substrate,
         model_version: common.model_version,
         opts: RunOptions {
-            cache: cache.as_ref(),
-            verbose: common.verbose,
             jobs: common.jobs,
             sink: sink.as_ref(),
-            no_recycle: common.no_recycle,
             shard: common.shard,
             stats: collector.as_ref(),
-            bundle: bundle.as_ref(),
             obs: observer.as_ref(),
-            arenas: (!common.no_shared_decode).then_some(&arenas),
-            no_shared_decode: common.no_shared_decode,
             oracle: common.oracle_options(),
             result_cache: result_cache.as_ref(),
         },
@@ -1426,16 +1300,6 @@ fn render_reports(common: &Common, render: impl FnOnce(&ExperimentCtx<'_>) -> Ve
 
 fn run_artifacts(common: &Common, names: &[&str]) {
     render_reports(common, |ctx| {
-        // Pin every artifact's trace keys for the whole render: `tables` (three
-        // artifacts over the same workloads) decodes each trace once instead of
-        // once per artifact. The pin drops with the closure, freeing the arenas.
-        let _pin = ctx.opts.arenas.map(|arenas| {
-            let keys = names
-                .iter()
-                .flat_map(|name| artifact_trace_keys(name, ctx.trace_len, &ctx.seeds))
-                .collect();
-            ArenaPin::new(arenas, keys)
-        });
         names
             .iter()
             .map(|name| {
@@ -1568,7 +1432,7 @@ fn plural_note(n: usize, what: &str) -> String {
 /// Expands a `--figure` comma list, with `tables` standing for its three
 /// artifacts, into an order-preserving deduplicated artifact list (a repeated
 /// artifact would, e.g., break merge's gap accounting by duplicating expected
-/// cells). Shared by `merge` and `pack-traces`.
+/// cells).
 fn expand_artifacts(figure: &str) -> Vec<String> {
     let mut artifacts: Vec<String> = Vec::new();
     for name in figure.split(',').filter(|s| !s.is_empty()) {
@@ -1626,29 +1490,18 @@ fn run_plan(common: &Common, path: &str) {
     let plans = svw_sim::resolve_plan(&plan_file, common.shard)
         .unwrap_or_else(|e| fail(&format!("cannot resolve plan file {path}: {e}")));
 
-    let cache = open_cache(common);
     let result_cache = open_result_cache(common);
     let sink = open_sink(common);
-    let bundle = open_bundle(common);
     let collector = (common.stats || common.stats_json.is_some()).then(StatsCollector::new);
     let observer = build_observer(common);
-    // Plans in one requeue round share traces (the round's cells are new seeds
-    // of the same workloads): decode each arena once across the round.
-    let arenas = TraceArenas::new();
     let opts = RunOptions {
-        cache: cache.as_ref(),
-        verbose: common.verbose,
         jobs: common.jobs,
         sink: sink.as_ref(),
-        no_recycle: common.no_recycle,
         // The plan already carries the shard assignment (applied by position
         // across the whole file); the executor must not re-slice.
         shard: None,
         stats: collector.as_ref(),
-        bundle: bundle.as_ref(),
         obs: observer.as_ref(),
-        arenas: (!common.no_shared_decode).then_some(&arenas),
-        no_shared_decode: common.no_shared_decode,
         oracle: common.oracle_options(),
         result_cache: result_cache.as_ref(),
     };
@@ -1924,72 +1777,6 @@ fn cmd_profile(mut common: Common) {
     } else {
         print!("{}", report.render());
     }
-}
-
-// --------------------------------------------------------------- pack-traces
-
-/// `svwsim pack-traces --figure ART[,ART...] --out BUNDLE.svwtb`: capture every
-/// trace the named sweep needs into one indexed bundle.
-fn cmd_pack_traces(mut common: Common) {
-    if common.shard.is_some() {
-        fail("--shard does not apply to pack-traces (the bundle holds every shard's traces)");
-    }
-    common.reject_simulation_flags("pack-traces (it only generates and packs traces)");
-    common.reject_result_cache_flags("pack-traces (it packs traces, not results)");
-    common.reject_events_flag("pack-traces");
-    common.reject_model_version("pack-traces (traces are model-independent)");
-    let mut rest = std::mem::take(&mut common.rest);
-    let figure = take_flag_value(&mut rest, "--figure")
-        .unwrap_or_else(|| fail("pack-traces needs --figure <artifact[,artifact...]>"));
-    let out = common
-        .out
-        .clone()
-        .unwrap_or_else(|| fail("pack-traces needs --out BUNDLE.svwtb"));
-    reject_leftovers(&rest);
-
-    // With an adaptive target, pack everything sampling might request
-    // (seed..seed+max-seeds); otherwise the fixed seed list.
-    let seeds: Vec<u64> = if let Some(ci_target) = common.ci_target {
-        let adaptive = svw_sim::AdaptiveOpts {
-            ci_target_pct: ci_target,
-            min_seeds: common.min_seeds.unwrap_or(3),
-            max_seeds: common.max_seeds.unwrap_or(10),
-        };
-        if let Err(e) = adaptive.validate() {
-            fail(&e);
-        }
-        if common.seeds != 1 {
-            fail("--seeds and --ci-target are mutually exclusive");
-        }
-        (0..adaptive.max_seeds as u64)
-            .map(|i| common.seed + i)
-            .collect()
-    } else {
-        common.seed_list()
-    };
-
-    let artifacts = expand_artifacts(&figure);
-    // The manifest only needs each matrix's workload list — not the full
-    // (workload × config × seed) cell enumeration the planner would build.
-    let mut manifest = svw_workloads::BundleManifest::new();
-    for artifact in &artifacts {
-        let matrices = svw_sim::artifact_matrices(artifact).unwrap_or_else(|| {
-            fail(&format!(
-                "unknown artifact {artifact:?}{}",
-                registry::did_you_mean(artifact, registry::builtin_names())
-            ))
-        });
-        for (_, workloads, _) in &matrices {
-            manifest.add_matrix(workloads, common.trace_len, &seeds);
-        }
-    }
-    let cache = open_cache(&common);
-    let stats = svw_trace::pack_bundle(&manifest, cache.as_ref(), &out, common.jobs)
-        .unwrap_or_else(|e| fail(&format!("cannot pack {out}: {e}")));
-    eprintln!(
-        "[svwsim] packed {} trace(s) into {out} ({} bytes): {} from the cache, {} generated",
-        stats.traces, stats.bytes, stats.from_cache, stats.generated
-    );
 }
 
 // --------------------------------------------------------------- experiments
@@ -2273,9 +2060,7 @@ fn main() -> ExitCode {
             common.reject_sweep_flags("capture");
             common.reject_events_flag("capture");
             common.reject_model_version("capture (traces are model-independent)");
-            common.reject_result_cache_flags(
-                "capture (traces are cached separately; see --cache-dir)",
-            );
+            common.reject_result_cache_flags("capture (it writes a trace, not results)");
             cmd_capture(common);
         }
         "inspect" => {
@@ -2290,7 +2075,6 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(parse_common(args)),
         "merge" => cmd_merge(parse_common(args)),
         "coordinate" => return cmd_coordinate(parse_common(args)),
-        "pack-traces" => cmd_pack_traces(parse_common(args)),
         "profile" => cmd_profile(parse_common(args)),
         "experiments" => return cmd_experiments(parse_common(args)),
         "cache" => cmd_cache(parse_common(args)),

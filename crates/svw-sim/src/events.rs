@@ -3,8 +3,7 @@
 //! Every cell a sweep processes emits a stream of flat JSON event lines:
 //!
 //! ```text
-//! planned → trace_acquired(source, bytes, dur) → decoded(dur)
-//!         → simulated(cycles, dur) → written(dur)
+//! planned → trace_acquired(dur) → simulated(cycles, dur) → written(dur)
 //! ```
 //!
 //! with `restored` / `skipped` / `failed` replacing the simulate chain on those
@@ -17,10 +16,10 @@
 //! The journal uses the same kill-tolerant framing as the results JSONL
 //! ([`crate::jsonl::JsonlSink`]): opening an existing file terminates a
 //! truncated trailing line, appends are a single `write + flush`, and readers
-//! skip (but count) malformed lines. `trace_acquired`/`decoded` are emitted
-//! only by the worker that actually performed the acquisition — traces are
-//! shared across same-`(workload, seed)` cells, so most cells reuse a program
-//! acquired by an earlier cell and have no acquisition phase of their own.
+//! skip (but count) malformed lines. `trace_acquired` is emitted only by the
+//! worker that actually generated the trace — traces are shared across
+//! same-`(workload, seed)` cells, so most cells reuse a program generated by an
+//! earlier cell and have no acquisition phase of their own.
 
 use std::fs;
 use std::io::Write as _;
@@ -36,10 +35,8 @@ use crate::jsonl::CellId;
 pub mod kind {
     /// A worker dequeued the cell.
     pub const PLANNED: &str = "planned";
-    /// The cell's trace was fetched (bundle/cache) or generated.
+    /// The cell's trace was generated.
     pub const TRACE_ACQUIRED: &str = "trace_acquired";
-    /// The on-disk trace representation was decoded into a program.
-    pub const DECODED: &str = "decoded";
     /// The cycle-level simulation finished.
     pub const SIMULATED: &str = "simulated";
     /// The cell's result line was appended to the results JSONL.
@@ -177,10 +174,6 @@ pub struct Event {
     pub seed: Option<u64>,
     /// Worker thread that processed the cell.
     pub worker: Option<u64>,
-    /// Trace acquisition source (`bundle`, `cache`, `generated`).
-    pub source: Option<String>,
-    /// Bytes read from disk during acquisition.
-    pub bytes: Option<u64>,
     /// Simulated cycles.
     pub cycles: Option<u64>,
     /// Phase duration in microseconds.
@@ -215,8 +208,6 @@ pub fn parse_event_line(line: &str) -> Option<Event> {
             "config" => event.config = Some(value.as_str()?.to_string()),
             "seed" => event.seed = Some(value.as_u64()?),
             "worker" => event.worker = Some(value.as_u64()?),
-            "source" => event.source = Some(value.as_str()?.to_string()),
-            "bytes" => event.bytes = Some(value.as_u64()?),
             "cycles" => event.cycles = Some(value.as_u64()?),
             "dur_us" => event.dur_us = Some(value.as_f64()?),
             "error" => event.error = Some(value.as_str()?.to_string()),

@@ -9,14 +9,14 @@
 //! byte-identical v1 baseline.
 
 use svw_cpu::CpuStats;
-use svw_workloads::{ArenaPin, TraceKey, WorkloadProfile};
+use svw_workloads::WorkloadProfile;
 
 use crate::registry::{self, ResolvedMatrix, ResolvedSpec};
 use crate::report::{FigureReport, SeriesTable};
 use crate::runner::{run_cells, ExperimentCell, RunOptions};
 
 /// Everything an experiment needs beyond its configuration matrix: trace length,
-/// replication seeds, and how to acquire workload traces and schedule cells.
+/// replication seeds, and how to schedule cells.
 #[derive(Clone, Debug)]
 pub struct ExperimentCtx<'c> {
     /// Per-workload dynamic trace length.
@@ -37,12 +37,12 @@ pub struct ExperimentCtx<'c> {
     /// [`svw_cpu::MachineConfig::model_version`]). Version 1 — the default —
     /// reproduces the historical renders byte-for-byte.
     pub model_version: u32,
-    /// Trace-acquisition and scheduling options (cache, verbosity, jobs, JSONL sink).
+    /// Scheduling options (jobs, JSONL sink, oracle, result cache).
     pub opts: RunOptions<'c>,
 }
 
 impl ExperimentCtx<'_> {
-    /// A single-seed context that regenerates every workload (no cache, quiet).
+    /// A single-seed context with default scheduling options.
     pub fn new(trace_len: usize, seed: u64) -> Self {
         ExperimentCtx {
             trace_len,
@@ -721,16 +721,6 @@ pub fn render_resolved(
             resolved.spec.name, resolved.spec.renderer
         )
     })?;
-    // Pin the spec's trace arenas for the duration of the render: a
-    // multi-matrix artifact decodes each `(workload, seed)` trace once and the
-    // later matrices reuse it; the pin's drop releases everything, so memory
-    // stays bounded by one artifact's distinct traces.
-    let _pin = ctx.opts.arenas.map(|arenas| {
-        ArenaPin::new(
-            arenas,
-            resolved_trace_keys(resolved, ctx.trace_len, &ctx.seeds),
-        )
-    });
     let mut report = renderer(ctx, resolved)?;
     if let Some(reason) = registry::model_divergence(resolved.model_version) {
         report.notes.push(format!(
@@ -754,33 +744,6 @@ pub fn render_artifact(ctx: &ExperimentCtx<'_>, name: &str) -> Result<FigureRepo
         )
     })?;
     render_resolved(ctx, &resolved)
-}
-
-/// Every distinct trace key a resolved spec's matrices will consume at the given
-/// base seeds (adaptive extra seeds are scheduled later and managed per plan).
-pub fn resolved_trace_keys(
-    resolved: &ResolvedSpec,
-    trace_len: usize,
-    seeds: &[u64],
-) -> Vec<TraceKey> {
-    let mut keys: Vec<TraceKey> = resolved
-        .matrices
-        .iter()
-        .flat_map(|m| m.workloads.iter())
-        .flat_map(|w| seeds.iter().map(|&seed| TraceKey::of(w, trace_len, seed)))
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys
-}
-
-/// Every distinct trace key a builtin artifact will consume (see
-/// [`resolved_trace_keys`]); empty for unknown artifact names — rendering will
-/// report those itself.
-pub fn artifact_trace_keys(name: &str, trace_len: usize, seeds: &[u64]) -> Vec<TraceKey> {
-    artifact_resolved(name, 1)
-        .map(|resolved| resolved_trace_keys(&resolved, trace_len, seeds))
-        .unwrap_or_default()
 }
 
 /// The exact (matrix label, workloads, configurations) matrices an artifact runs,

@@ -8,9 +8,9 @@
 //! user-defined sweeps), turns those specs into typed sweep plans
 //! ([`planner`] — ordered cells, shard assignment, seed
 //! policy, on-disk `*.plan.jsonl` files), executes any plan on a cell-granular
-//! work-stealing scheduler — with workload traces served by `.svwtb` bundles and
-//! the on-disk trace cache, per-cell panic capture, and an optional streaming-JSONL
-//! results file with resume ([`runner`], [`jsonl`]) — and formats the results as
+//! work-stealing scheduler — generating each `(workload, seed)` trace once per plan,
+//! with per-cell panic capture and an optional streaming-JSONL results file with
+//! resume ([`runner`], [`jsonl`]) — and formats the results as
 //! the tables/series the paper plots ([`report`]), with mean ± 95% confidence
 //! intervals under multi-seed replication, in text or JSON.
 //!
@@ -44,7 +44,6 @@
 //! | `svwsim tables` | the three table artifacts (ssn-width, spec-ssbf, summary) |
 //! | `svwsim merge` | validate and stitch sharded sweep JSONL files |
 //! | `svwsim coordinate` | two-phase distributed-adaptive round driver |
-//! | `svwsim pack-traces` | capture a sweep's traces into one `.svwtb` bundle |
 //! | `svwsim profile` | phase breakdowns from `--events` journals |
 //! | `svwsim experiments` | list/show/validate the experiment spec registry |
 //! | `svwsim cache` | manage the content-addressed result cache (stats/gc/verify) |
@@ -53,20 +52,19 @@
 //! arguments (`svwsim help` prints the full usage). Sweeps accept `--trace-len`,
 //! `--seed`, `--seeds K` (multi-seed replication), `--ci-target`/`--min-seeds`/
 //! `--max-seeds` (adaptive sampling), `--shard I/N|auto` (distributed sharding),
-//! `--trace-bundle FILE.svwtb` (pre-packed traces), `--jobs N` (worker threads), and
-//! `--out results.jsonl` (streaming results + resume) overrides, `--json` for
-//! machine-readable reports, `--substrate` for substrate-level tables (SSBF
-//! lookup/update traffic, L2 miss rate, forwarding-buffer hit rate), `--stats` for
-//! per-worker scheduler statistics and trace-acquisition counters (`--stats-json
-//! FILE` for the machine-readable twin), `--verbose` for trace-cache activity
-//! logging, and `--no-cache` to force regeneration.
+//! `--jobs N` (worker threads), and `--out results.jsonl` (streaming results +
+//! resume) overrides, `--json` for machine-readable reports, `--substrate` for
+//! substrate-level tables (SSBF lookup/update traffic, L2 miss rate,
+//! forwarding-buffer hit rate), `--stats` for per-worker scheduler statistics and
+//! trace counters (`--stats-json FILE` for the machine-readable twin), and
+//! `--verbose` for result-cache and replay logging.
 //!
 //! Finished cells themselves are memoizable across sweeps, users, and CI
 //! through the content-addressed **result cache** ([`cache`]): `--result-cache
 //! DIR` makes [`runner::execute_plan`] consult a shared store keyed by the full
 //! cell identity (lineage triple included) before scheduling anything — a hit
-//! becomes [`runner::CellOutcome::Cached`], skipping trace acquisition, decode,
-//! and simulation entirely — and publishes every freshly simulated cell back via
+//! becomes [`runner::CellOutcome::Cached`], skipping trace generation and
+//! simulation entirely — and publishes every freshly simulated cell back via
 //! atomic tmp+rename writes, so concurrent sweeps and shards can share one
 //! directory. `--no-result-cache` is the A/B control (renders are byte-identical
 //! either way), `--result-cache-mode ro|wo` serves CI read-only or warm-only
@@ -75,8 +73,8 @@
 //!
 //! Sweeps are also observable without perturbing their outputs ([`obs`],
 //! [`events`], [`profile`]): `--events FILE.jsonl` appends a kill-tolerant
-//! per-cell lifecycle journal (`planned → trace_acquired → decoded → simulated →
-//! written`, with worker ids and per-phase durations), `--progress` reports live
+//! per-cell lifecycle journal (`planned → trace_acquired → simulated → written`,
+//! with worker ids and per-phase durations), `--progress` reports live
 //! completion/rate/ETA on stderr, `--metrics-out FILE` writes an end-of-run
 //! metrics snapshot in Prometheus text format, and `svwsim profile` turns
 //! journals into phase breakdowns, slowest-cell lists, and worker utilization.
@@ -112,9 +110,8 @@ pub use cache::{CacheCounters, CacheMode, GcReport, ResultCache, StoreStats, Ver
 pub use coordinate::{coordinate_round, CoordinateError, CoordinateOutcome, CoordinateRequest};
 pub use events::{parse_event_line, read_events, Event, EventSink};
 pub use experiments::{
-    artifact_matrices, artifact_resolved, artifact_trace_keys, render_artifact, render_resolved,
-    resolved_trace_keys, run_cells_adaptive, AdaptiveGroupReport, AdaptiveOpts, AdaptiveSweep,
-    ExperimentCtx, Stat, ARTIFACT_NAMES,
+    artifact_matrices, artifact_resolved, render_artifact, render_resolved, run_cells_adaptive,
+    AdaptiveGroupReport, AdaptiveOpts, AdaptiveSweep, ExperimentCtx, Stat, ARTIFACT_NAMES,
 };
 pub use jsonl::{CellId, JsonlSink};
 pub use merge::{expected_cells, merge_shards, MergeError, MergeInput, MergeReport};
@@ -130,8 +127,7 @@ pub use registry::{
 };
 pub use report::{FigureReport, SeriesTable};
 pub use runner::{
-    execute_plan, parse_len_seed, run_cells, run_matrix, run_matrix_cached, CellOutcome,
-    ExperimentCell, RunOptions, Shard, StatsCollector, SweepResult, TraceSource, WorkerStats,
-    DEFAULT_SEED, DEFAULT_TRACE_LEN,
+    execute_plan, parse_len_seed, run_cells, run_matrix, CellOutcome, ExperimentCell, RunOptions,
+    Shard, StatsCollector, SweepResult, WorkerStats, DEFAULT_SEED, DEFAULT_TRACE_LEN,
 };
 pub use svw_oracle::{DifferentialChecker, Divergence, DivergenceKind, OracleOptions};

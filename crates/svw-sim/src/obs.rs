@@ -36,12 +36,6 @@ pub struct SweepMetrics {
     pub cells_failed: Arc<Counter>,
     /// Traces generated from workload profiles.
     pub traces_generated: Arc<Counter>,
-    /// Traces served by the on-disk trace cache.
-    pub trace_cache_hits: Arc<Counter>,
-    /// Traces served by a `--trace-bundle` file.
-    pub trace_bundle_hits: Arc<Counter>,
-    /// Bytes read from disk while acquiring traces.
-    pub trace_bytes_read: Arc<Counter>,
     /// Total simulated cycles across all cells.
     pub sim_cycles: Arc<Counter>,
     /// Forwarding-buffer probes across all simulated cells.
@@ -52,10 +46,8 @@ pub struct SweepMetrics {
     pub store_set_squashes: Arc<Counter>,
     /// Worker threads used by the largest plan execution.
     pub workers: Arc<Gauge>,
-    /// Trace-acquisition phase durations (fetch or generate, per acquiring cell).
+    /// Trace-acquisition phase durations (generation, per generating cell).
     pub trace_acquire_seconds: Arc<DurationHistogram>,
-    /// Trace-decode phase durations (on-disk representation → program).
-    pub decode_seconds: Arc<DurationHistogram>,
     /// Simulation phase durations (cycle-level model, per cell).
     pub simulate_seconds: Arc<DurationHistogram>,
     /// Result-write phase durations (JSONL append, per cell).
@@ -98,18 +90,6 @@ impl SweepMetrics {
             "svw_traces_generated_total",
             "Traces generated from workload profiles",
         );
-        let trace_cache_hits = registry.counter(
-            "svw_trace_cache_hits_total",
-            "Traces served by the on-disk trace cache",
-        );
-        let trace_bundle_hits = registry.counter(
-            "svw_trace_bundle_hits_total",
-            "Traces served by a trace bundle",
-        );
-        let trace_bytes_read = registry.counter(
-            "svw_trace_bytes_read_total",
-            "Bytes read from disk while acquiring traces",
-        );
         let sim_cycles =
             registry.counter("svw_sim_cycles_total", "Simulated cycles across all cells");
         let fwd_buffer_lookups = registry.counter(
@@ -132,8 +112,6 @@ impl SweepMetrics {
             "svw_phase_trace_acquire_seconds",
             "Trace-acquisition phase durations",
         );
-        let decode_seconds =
-            registry.histogram("svw_phase_decode_seconds", "Trace-decode phase durations");
         let simulate_seconds = registry.histogram(
             "svw_phase_simulate_seconds",
             "Cycle-level simulation phase durations",
@@ -168,16 +146,12 @@ impl SweepMetrics {
             cells_cached,
             cells_failed,
             traces_generated,
-            trace_cache_hits,
-            trace_bundle_hits,
-            trace_bytes_read,
             sim_cycles,
             fwd_buffer_lookups,
             fwd_buffer_hits,
             store_set_squashes,
             workers,
             trace_acquire_seconds,
-            decode_seconds,
             simulate_seconds,
             write_seconds,
             result_cache_hits,
@@ -394,12 +368,12 @@ mod tests {
     fn metrics_render_includes_registered_names() {
         let metrics = SweepMetrics::new();
         metrics.cells_simulated.add(3);
-        metrics.trace_bytes_read.add(1024);
+        metrics.traces_generated.add(16);
         metrics.simulate_seconds.record(Duration::from_millis(2));
         let text = metrics.render_prometheus();
         assert!(text.contains("# TYPE svw_cells_simulated_total counter"));
         assert!(text.contains("svw_cells_simulated_total 3"));
-        assert!(text.contains("svw_trace_bytes_read_total 1024"));
+        assert!(text.contains("svw_traces_generated_total 16"));
         assert!(text.contains("svw_phase_simulate_seconds_count 1"));
         assert!(text.contains("# TYPE svw_phase_simulate_seconds histogram"));
     }

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use svw_cpu::MachineConfig;
-use svw_workloads::{TraceKey, WorkloadProfile};
+use svw_workloads::WorkloadProfile;
 
 use crate::experiments::artifact_resolved;
 use crate::json::{self, Scalar};
@@ -46,17 +46,6 @@ pub struct PlannedCell {
     /// still *collected* (restored from a resume file when possible, recorded as
     /// skipped otherwise) so the result vector always covers the whole plan.
     pub in_shard: bool,
-}
-
-impl PlannedCell {
-    /// The identity of the trace this cell replays.
-    pub fn trace_key(&self) -> TraceKey {
-        TraceKey {
-            fingerprint: self.id.fingerprint,
-            trace_len: self.id.trace_len,
-            seed: self.id.seed,
-        }
-    }
 }
 
 /// An executable sweep plan over one matrix: the workload and configuration tables
@@ -499,10 +488,7 @@ mod tests {
         assert!(plan
             .cell_ids()
             .all(|id| id.model_version == 1 && id.spec_fingerprint == 99));
-        assert_eq!(
-            plan.cells[0].trace_key().fingerprint,
-            workloads[0].fingerprint()
-        );
+        assert_eq!(plan.cells[0].id.fingerprint, workloads[0].fingerprint());
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Parses `--events` journals (tolerating the torn lines kill-tolerant framing
 //! allows) and reconstructs per-cell lifecycles, then reports where sweep wall
-//! time actually goes: trace-acquire vs decode vs simulate vs result I/O, in
-//! aggregate and per workload, plus the top-N slowest cells and a per-worker
-//! utilization table. This is the measurement tool that decides perf work —
-//! e.g. whether trace decode really dominates warm sweeps.
+//! time actually goes: trace-acquire vs simulate vs result I/O, in aggregate and
+//! per workload, plus the top-N slowest cells and a per-worker utilization
+//! table. This is the measurement tool that decides perf work. Journals written
+//! by older builds may also hold `decoded` lines; their duration was a sub-span
+//! of `trace_acquired`, so they are ignored rather than counted twice.
 //!
 //! Multiple journals (one per shard of a distributed run) can be profiled
 //! together; per-cell timestamps are deltas within one journal, so mixing
@@ -17,10 +18,8 @@ use crate::json;
 /// Accumulated per-phase time, in microseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTotals {
-    /// Trace acquisition (bundle fetch, cache fetch, or generation).
+    /// Trace acquisition (generation).
     pub acquire_us: f64,
-    /// Decode of the on-disk trace representation.
-    pub decode_us: f64,
     /// Cycle-level simulation.
     pub simulate_us: f64,
     /// Result write (JSONL append).
@@ -30,12 +29,11 @@ pub struct PhaseTotals {
 impl PhaseTotals {
     /// Sum of all phases.
     pub fn sum_us(&self) -> f64 {
-        self.acquire_us + self.decode_us + self.simulate_us + self.write_us
+        self.acquire_us + self.simulate_us + self.write_us
     }
 
     fn add(&mut self, other: &PhaseTotals) {
         self.acquire_us += other.acquire_us;
-        self.decode_us += other.decode_us;
         self.simulate_us += other.simulate_us;
         self.write_us += other.write_us;
     }
@@ -167,7 +165,6 @@ pub fn profile_events(files: &[(String, String)], top_n: usize) -> ProfileReport
                     open.insert((m.clone(), w.clone(), c.clone(), s), idx);
                 }
                 kind::TRACE_ACQUIRED
-                | kind::DECODED
                 | kind::SIMULATED
                 | kind::WRITTEN
                 | kind::RESTORED
@@ -188,7 +185,6 @@ pub fn profile_events(files: &[(String, String)], top_n: usize) -> ProfileReport
                     let dur = ev.dur_us.unwrap_or(0.0).max(0.0);
                     match ev.ev.as_str() {
                         kind::TRACE_ACQUIRED => cell.phases.acquire_us += dur,
-                        kind::DECODED => cell.phases.decode_us += dur,
                         kind::SIMULATED => {
                             cell.phases.simulate_us += dur;
                             cell.cycles = ev.cycles;
@@ -313,7 +309,6 @@ impl ProfileReport {
         };
         let rows = [
             ("trace-acquire", self.totals.acquire_us),
-            ("decode", self.totals.decode_us),
             ("simulate", self.totals.simulate_us),
             ("write", self.totals.write_us),
         ];
@@ -342,16 +337,15 @@ impl ProfileReport {
         if !self.per_workload.is_empty() {
             out.push_str("\nphase breakdown (per workload):\n");
             out.push_str(&format!(
-                "  {:<12} {:>5} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-                "workload", "cells", "acquire", "decode", "simulate", "write", "total"
+                "  {:<12} {:>5} {:>10} {:>10} {:>10} {:>10}\n",
+                "workload", "cells", "acquire", "simulate", "write", "total"
             ));
             for w in &self.per_workload {
                 out.push_str(&format!(
-                    "  {:<12} {:>5} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
+                    "  {:<12} {:>5} {:>10} {:>10} {:>10} {:>10}\n",
                     w.workload,
                     w.cells,
                     fmt_us(w.phases.acquire_us),
-                    fmt_us(w.phases.decode_us),
                     fmt_us(w.phases.simulate_us),
                     fmt_us(w.phases.write_us),
                     fmt_us(w.phases.sum_us()),
@@ -407,7 +401,6 @@ impl ProfileReport {
         let phases_json = |p: &PhaseTotals| {
             json::object([
                 ("acquire_us", json::number(p.acquire_us)),
-                ("decode_us", json::number(p.decode_us)),
                 ("simulate_us", json::number(p.simulate_us)),
                 ("write_us", json::number(p.write_us)),
                 ("sum_us", json::number(p.sum_us())),
@@ -472,8 +465,7 @@ mod tests {
         let lines = [
             r#"{"ev":"sweep_started","ts_us":0,"cells":2,"jobs":1}"#,
             r#"{"ev":"planned","ts_us":10,"matrix":"fig5","workload":"gcc","config":"a","seed":1,"worker":0}"#,
-            r#"{"ev":"trace_acquired","ts_us":110,"matrix":"fig5","workload":"gcc","config":"a","seed":1,"worker":0,"source":"cache","bytes":2048,"dur_us":100}"#,
-            r#"{"ev":"decoded","ts_us":191,"matrix":"fig5","workload":"gcc","config":"a","seed":1,"worker":0,"dur_us":80}"#,
+            r#"{"ev":"trace_acquired","ts_us":110,"matrix":"fig5","workload":"gcc","config":"a","seed":1,"worker":0,"dur_us":100}"#,
             r#"{"ev":"simulated","ts_us":991,"matrix":"fig5","workload":"gcc","config":"a","seed":1,"worker":0,"cycles":5000,"dur_us":800}"#,
             r#"{"ev":"written","ts_us":1011,"matrix":"fig5","workload":"gcc","config":"a","seed":1,"worker":0,"dur_us":20}"#,
             r#"{"ev":"planned","ts_us":1020,"matrix":"fig5","workload":"vpr.r","config":"a","seed":1,"worker":0}"#,
@@ -493,7 +485,6 @@ mod tests {
         assert_eq!(report.cached, 1);
         assert_eq!(report.malformed_lines, 1);
         assert_eq!(report.totals.acquire_us, 100.0);
-        assert_eq!(report.totals.decode_us, 80.0);
         assert_eq!(report.totals.simulate_us, 800.0);
         assert_eq!(report.totals.write_us, 20.0);
         // gcc's wall: planned at 10, written at 1011.
@@ -502,6 +493,34 @@ mod tests {
         assert_eq!(report.workers.len(), 1);
         assert_eq!(report.workers[0].cells, 1);
         assert_eq!(report.per_workload[0].workload, "gcc");
+    }
+
+    /// Older journals carry a `decoded` event whose duration is a sub-span of the
+    /// cell's `trace_acquired` duration (and `source`/`bytes` fields the current
+    /// schema dropped). Counting it as its own phase made the phases cover more
+    /// than the cell's wall time; it must be ignored.
+    #[test]
+    fn legacy_decoded_events_are_not_counted_twice() {
+        // Every phase event of a cell is emitted once the cell finishes, so all
+        // share the final timestamp; the cell's wall time is 1000 µs, of which
+        // acquisition (decode included) took 100 µs and simulation 900 µs.
+        let legacy = [
+            r#"{"ev":"planned","ts_us":0,"matrix":"fig5","workload":"gcc","config":"a","seed":1,"worker":0}"#,
+            r#"{"ev":"trace_acquired","ts_us":1000,"matrix":"fig5","workload":"gcc","config":"a","seed":1,"worker":0,"source":"cache","bytes":2048,"dur_us":100}"#,
+            r#"{"ev":"decoded","ts_us":1000,"matrix":"fig5","workload":"gcc","config":"a","seed":1,"worker":0,"dur_us":80}"#,
+            r#"{"ev":"simulated","ts_us":1000,"matrix":"fig5","workload":"gcc","config":"a","seed":1,"worker":0,"cycles":5000,"dur_us":900}"#,
+        ]
+        .join("\n");
+        let report = profile_events(&[("legacy".to_string(), legacy)], 5);
+        assert_eq!(report.simulated, 1);
+        assert_eq!(report.malformed_lines, 0);
+        assert_eq!(report.cell_wall_us, 1000.0);
+        assert!(
+            report.totals.sum_us() <= report.cell_wall_us,
+            "phases cover {:.1}% of cell wall time",
+            100.0 * report.totals.sum_us() / report.cell_wall_us
+        );
+        assert!(report.render().contains("(phases cover 100.0%)"));
     }
 
     #[test]

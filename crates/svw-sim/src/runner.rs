@@ -15,8 +15,6 @@
 //!
 //! * a panicking cell is caught and recorded as [`CellOutcome::Failed`]; the
 //!   remaining cells keep running (one poisoned cell no longer aborts the sweep);
-//! * trace-cache errors fall back to direct generation and are aggregated into a
-//!   single warning per sweep instead of one stderr line per workload;
 //! * with a [`JsonlSink`] attached, every finished cell is appended (and flushed) to
 //!   a JSONL file immediately, and an interrupted sweep resumes by skipping the cells
 //!   already present in that file.
@@ -40,8 +38,7 @@ use std::sync::{Arc, Mutex};
 use svw_cpu::{Cpu, CpuStats, MachineConfig, SimArena};
 use svw_isa::Program;
 use svw_oracle::{DifferentialChecker, OracleOptions};
-use svw_trace::{TraceBundle, TraceCache};
-use svw_workloads::{TraceArenas, TraceKey, WorkloadProfile};
+use svw_workloads::WorkloadProfile;
 
 use crate::cache::ResultCache;
 use crate::events::kind as event_kind;
@@ -66,8 +63,8 @@ pub enum CellOutcome {
     /// The simulation ran to completion.
     Ok(Box<CpuStats>),
     /// The cell was served by the content-addressed result cache
-    /// ([`RunOptions::result_cache`]) — trace acquisition, decode, and
-    /// simulation were all skipped. Indistinguishable from [`CellOutcome::Ok`]
+    /// ([`RunOptions::result_cache`]) — trace generation and simulation were
+    /// both skipped. Indistinguishable from [`CellOutcome::Ok`]
     /// to every renderer (the stored stats round-trip losslessly), but counted
     /// separately so `--stats`, `--progress`, and `svwsim profile` never
     /// conflate cached cells with simulated or restored ones.
@@ -254,23 +251,15 @@ impl ExperimentCell {
     }
 }
 
-/// How the sweep engine acquires traces, parallelizes, and streams results.
+/// How the sweep engine parallelizes, checks, and streams results. Every trace is
+/// generated from its workload profile, once per `(workload, seed)` pair of a plan.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RunOptions<'c> {
-    /// Serve workloads through this trace cache (each `(profile, len, seed)` is
-    /// generated at most once per machine). `None` regenerates on every call.
-    pub cache: Option<&'c TraceCache>,
-    /// Log trace acquisition (cache hits/misses) to stderr.
-    pub verbose: bool,
     /// Worker threads draining the cell queue; `0` means all available parallelism.
     pub jobs: usize,
     /// Stream every finished cell to this JSONL sink, and skip cells the sink
     /// already holds (resume).
     pub sink: Option<&'c JsonlSink>,
-    /// Build a fresh `Cpu` for every cell instead of recycling the worker's
-    /// [`SimArena`]. Results are byte-identical either way (the determinism tests
-    /// compare the two paths); recycling is faster and is the default.
-    pub no_recycle: bool,
     /// Run only this shard's slice of the cell list; the other cells are recorded as
     /// [`CellOutcome::Skipped`] (unless the resume file already holds them). `None`
     /// runs everything. Applied by [`run_cells`] when it builds the plan;
@@ -279,26 +268,11 @@ pub struct RunOptions<'c> {
     /// Accumulate per-worker scheduler statistics (cells drained, resets vs
     /// rebuilds, slab high-water marks) into this collector.
     pub stats: Option<&'c StatsCollector>,
-    /// Serve workload traces from this pre-packed `.svwtb` bundle before consulting
-    /// the cache or generating. A key the bundle lacks falls back (with an
-    /// aggregated warning) — the bundle, like the cache, never changes results.
-    pub bundle: Option<&'c TraceBundle>,
     /// Observability instrumentation (`--events` journal, `--metrics-out`
     /// registry, `--progress` reporter). Purely additive: instrumentation
     /// measures timing and emits to its own outputs, never touching results —
     /// every artifact is byte-identical with `obs` present or `None`.
     pub obs: Option<&'c SweepObserver>,
-    /// Share decoded trace arenas across sweeps through this registry: a trace
-    /// decoded by one plan is reused (not re-decoded) by every later plan whose
-    /// registration overlaps — the matrices of a multi-table artifact, adaptive
-    /// re-rounds, coordinator requeue rounds. Results are byte-identical with or
-    /// without it (the determinism suite compares both paths).
-    pub arenas: Option<&'c TraceArenas>,
-    /// Decode each cell's trace independently instead of sharing the decoded
-    /// program between the cells of a `(workload, seed)` pair — the legacy
-    /// pre-arena path, kept as the `--no-shared-decode` A/B control and the
-    /// bench comparison baseline. Results are byte-identical either way.
-    pub no_shared_decode: bool,
     /// Cross-check every simulated cell against the in-order golden model
     /// (`--oracle`): the pipeline runs under a [`DifferentialChecker`] and a
     /// divergence turns the cell into [`CellOutcome::Failed`] carrying the
@@ -307,36 +281,11 @@ pub struct RunOptions<'c> {
     pub oracle: Option<OracleOptions>,
     /// Consult (and publish to) this content-addressed result cache
     /// (`--result-cache DIR`): cells the cache already holds become
-    /// [`CellOutcome::Cached`] — no trace acquisition, no decode, no
-    /// simulation, and no arena registration for fully-cached trace groups —
-    /// and every freshly simulated successful cell is published back. Served
+    /// [`CellOutcome::Cached`] — no trace generation and no simulation — and
+    /// every freshly simulated successful cell is published back. Served
     /// results are byte-identical to re-simulating (the `--no-result-cache`
     /// A/B flag and the determinism suite compare both paths).
     pub result_cache: Option<&'c ResultCache>,
-}
-
-/// Where one workload trace came from, for the acquisition counters surfaced by
-/// `svwsim --stats` (a bundled distributed sweep should report **zero** generated
-/// traces — that is the whole point of shipping bundles with shard inputs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceSource {
-    /// Read from the `--trace-bundle` file.
-    Bundle,
-    /// Read back from the on-disk trace cache.
-    CacheHit,
-    /// Generated by the workload generator (and captured when a cache was open).
-    Generated,
-}
-
-impl TraceSource {
-    /// The stable label used in `trace_acquired` journal events.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceSource::Bundle => "bundle",
-            TraceSource::CacheHit => "cache",
-            TraceSource::Generated => "generated",
-        }
-    }
 }
 
 /// What one worker thread did during a sweep. Sampled per worker and accumulated
@@ -354,8 +303,7 @@ pub struct WorkerStats {
     /// Cell startups that reused the worker's arena (in-place pipeline reset).
     pub resets: u64,
     /// Cell startups that built a pipeline from scratch (the worker's first cell,
-    /// the cell after a panic discarded the arena, or every cell under
-    /// `--no-recycle`).
+    /// or the cell after a panic discarded the arena).
     pub rebuilds: u64,
     /// Largest rename-history slab (entries) any of this worker's cells needed.
     pub slab_high_water: u64,
@@ -383,9 +331,7 @@ pub struct StatsCollector {
     slots: Mutex<Vec<WorkerStats>>,
     adaptive_extra_cells: AtomicUsize,
     traces_generated: AtomicUsize,
-    traces_cache_hits: AtomicUsize,
-    traces_bundle_hits: AtomicUsize,
-    cells_shared_decode: AtomicUsize,
+    cells_shared_trace: AtomicUsize,
 }
 
 impl StatsCollector {
@@ -410,16 +356,6 @@ impl StatsCollector {
             .fetch_add(cells, Ordering::Relaxed);
     }
 
-    /// Records where one workload trace came from (bundle, cache, or generator).
-    pub fn record_trace(&self, source: TraceSource) {
-        let counter = match source {
-            TraceSource::Bundle => &self.traces_bundle_hits,
-            TraceSource::CacheHit => &self.traces_cache_hits,
-            TraceSource::Generated => &self.traces_generated,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Snapshot of the per-worker aggregates, one entry per worker slot.
     pub fn workers(&self) -> Vec<WorkerStats> {
         self.slots.lock().unwrap_or_else(|e| e.into_inner()).clone()
@@ -430,25 +366,15 @@ impl StatsCollector {
         self.adaptive_extra_cells.load(Ordering::Relaxed)
     }
 
-    /// Records one simulated cell that reused an already-decoded trace arena
-    /// (from its plan's `(workload, seed)` slot or the cross-plan registry)
-    /// instead of acquiring and decoding the trace itself.
-    pub fn record_shared_decode(&self) {
-        self.cells_shared_decode.fetch_add(1, Ordering::Relaxed);
+    /// Traces generated by the sweeps sharing this collector.
+    pub fn traces_generated(&self) -> usize {
+        self.traces_generated.load(Ordering::Relaxed)
     }
 
-    /// Simulated cells that were served a shared decoded arena.
-    pub fn cells_shared_decode(&self) -> usize {
-        self.cells_shared_decode.load(Ordering::Relaxed)
-    }
-
-    /// Trace-acquisition counters: `(generated, cache hits, bundle hits)`.
-    pub fn trace_counts(&self) -> (usize, usize, usize) {
-        (
-            self.traces_generated.load(Ordering::Relaxed),
-            self.traces_cache_hits.load(Ordering::Relaxed),
-            self.traces_bundle_hits.load(Ordering::Relaxed),
-        )
+    /// Simulated cells that reused the trace their plan had already generated for
+    /// the same `(workload, seed)` pair.
+    pub fn cells_shared_trace(&self) -> usize {
+        self.cells_shared_trace.load(Ordering::Relaxed)
     }
 }
 
@@ -458,10 +384,8 @@ impl StatsCollector {
 pub struct SweepResult {
     /// One cell per (workload, configuration, seed), workload-major.
     pub cells: Vec<ExperimentCell>,
-    /// How many traces fell back to direct generation because the cache errored.
-    pub cache_fallbacks: usize,
-    /// Aggregated sweep-level warnings (cache fallbacks, stream write errors) — at
-    /// most one entry per category, however many cells were affected.
+    /// Aggregated sweep-level warnings (stream write and result-cache store
+    /// errors) — at most one entry per category, however many cells were affected.
     pub warnings: Vec<String>,
     /// How many cells were restored from the resume file instead of simulated.
     pub restored: usize,
@@ -491,120 +415,6 @@ fn effective_jobs(jobs: usize, total_cells: usize) -> usize {
     let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
     let n = if jobs == 0 { auto } else { jobs };
     n.clamp(1, total_cells.max(1))
-}
-
-/// One acquired workload trace plus where it came from and any issues worth
-/// aggregating into sweep-level warnings. Neither the bundle nor the cache ever
-/// changes results — every fallback regenerates the identical trace.
-struct Acquired {
-    program: Program,
-    source: TraceSource,
-    /// A cache read/write error (the trace was regenerated directly).
-    cache_error: Option<String>,
-    /// The bundle lacked (or failed to serve) the key; the cache/generator path ran.
-    bundle_miss: Option<String>,
-    /// Bytes read from disk (bundle blob or cache file); 0 when generated.
-    bytes: u64,
-    /// Total acquisition wall time, fallbacks included.
-    acquire: std::time::Duration,
-    /// Portion of `acquire` spent decoding an on-disk representation.
-    decode: std::time::Duration,
-}
-
-/// Acquires one workload trace: bundle first, then cache, then the generator.
-fn acquire_program(
-    profile: &WorkloadProfile,
-    trace_len: usize,
-    seed: u64,
-    opts: &RunOptions<'_>,
-) -> Acquired {
-    let acquire_start = std::time::Instant::now();
-    let mut bundle_miss = None;
-    if let Some(bundle) = opts.bundle {
-        let key = TraceKey::of(profile, trace_len, seed);
-        match bundle.get_metered(&key) {
-            Ok(Some((program, meter))) => {
-                if opts.verbose {
-                    eprintln!(
-                        "[svwsim] trace {}:{trace_len}:{seed} — bundle hit",
-                        profile.name
-                    );
-                }
-                return Acquired {
-                    program,
-                    source: TraceSource::Bundle,
-                    cache_error: None,
-                    bundle_miss: None,
-                    bytes: meter.bytes_read,
-                    acquire: acquire_start.elapsed(),
-                    decode: meter.decode,
-                };
-            }
-            Ok(None) => {
-                bundle_miss = Some(format!(
-                    "{}:{trace_len}:{seed}: not in the bundle",
-                    profile.name
-                ));
-            }
-            Err(e) => {
-                bundle_miss = Some(format!("{}:{trace_len}:{seed}: {e}", profile.name));
-            }
-        }
-    }
-    let (program, source, cache_error, bytes, decode) = match opts.cache {
-        Some(cache) => match cache.get_or_generate_metered(profile, trace_len, seed) {
-            Ok((program, outcome, meter)) => {
-                if opts.verbose {
-                    eprintln!(
-                        "[svwsim] trace {}:{trace_len}:{seed} — cache {}",
-                        profile.name,
-                        if outcome.is_hit() {
-                            "hit"
-                        } else {
-                            "miss (captured)"
-                        }
-                    );
-                }
-                let source = if outcome.is_hit() {
-                    TraceSource::CacheHit
-                } else {
-                    TraceSource::Generated
-                };
-                (program, source, None, meter.bytes_read, meter.decode)
-            }
-            Err(e) => (
-                profile.generate(trace_len, seed),
-                TraceSource::Generated,
-                Some(format!("{}:{trace_len}:{seed}: {e}", profile.name)),
-                0,
-                std::time::Duration::ZERO,
-            ),
-        },
-        None => {
-            if opts.verbose {
-                eprintln!(
-                    "[svwsim] trace {}:{trace_len}:{seed} — generated (cache disabled)",
-                    profile.name
-                );
-            }
-            (
-                profile.generate(trace_len, seed),
-                TraceSource::Generated,
-                None,
-                0,
-                std::time::Duration::ZERO,
-            )
-        }
-    };
-    Acquired {
-        program,
-        source,
-        cache_error,
-        bundle_miss,
-        bytes,
-        acquire: acquire_start.elapsed(),
-        decode,
-    }
 }
 
 /// One `(workload, seed)` trace shared by that pair's cells. The program is
@@ -670,8 +480,8 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
 
     // Resolve result-cache hits up front — before the trace slots are built —
     // so a hit never participates in trace grouping at all: a fully-cached
-    // (workload, seed) group creates no program slot and registers no arena
-    // use, and its cells skip acquisition, decode, and simulation entirely.
+    // (workload, seed) group creates no program slot, and its cells skip trace
+    // generation and simulation entirely.
     // Out-of-shard cells keep their skip semantics, and a cell the resume sink
     // already holds is restored from the sink (never double-counted as cached).
     let resolved: Vec<Option<CpuStats>> = match opts.result_cache {
@@ -706,7 +516,6 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
     // order; the task queue drains slot by slot so a trace's cells run together.
     let mut slot_of: HashMap<(usize, u64), usize> = HashMap::new();
     let mut slot_cells: Vec<Vec<usize>> = Vec::new();
-    let mut slot_keys: Vec<TraceKey> = Vec::new();
     let mut slot_index: Vec<Option<usize>> = Vec::with_capacity(total);
     for (k, cell) in plan.cells.iter().enumerate() {
         if resolved[k].is_some() {
@@ -717,11 +526,6 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
             .entry((cell.workload, cell.id.seed))
             .or_insert_with(|| {
                 slot_cells.push(Vec::new());
-                slot_keys.push(TraceKey::of(
-                    &plan.workloads[cell.workload],
-                    plan.trace_len,
-                    cell.id.seed,
-                ));
                 slot_cells.len() - 1
             });
         slot_cells[slot].push(k);
@@ -740,25 +544,8 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
         })
         .collect();
 
-    // Register this plan's use of each trace arena up front so the registry keeps
-    // a decoded arena warm exactly while plans (or an artifact-level pin) still
-    // need it; the use is released when the slot's last cell finishes, whatever
-    // its outcome.
-    let arenas = if opts.no_shared_decode {
-        None
-    } else {
-        opts.arenas
-    };
-    if let Some(a) = arenas {
-        for key in &slot_keys {
-            a.register(key, 1);
-        }
-    }
-
     let next_task = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<ExperimentCell>>> = Mutex::new(vec![None; total]);
-    let cache_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let bundle_misses: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let stream_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let store_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let restored_count = AtomicUsize::new(0);
@@ -788,11 +575,10 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
         // The workers need their 0-based index (for the stats collector), so the
         // closures are `move`; reborrow the shared state so only references move.
         let (tasks, programs, results, resolved) = (&tasks, &programs, &results, &resolved);
-        let (slot_index, slot_keys, plan) = (&slot_index, &slot_keys, &plan);
+        let (slot_index, plan) = (&slot_index, &plan);
         let (next_task, restored_count, skipped_count, cached_count) =
             (&next_task, &restored_count, &skipped_count, &cached_count);
-        let (cache_errors, bundle_misses, stream_errors, store_errors) =
-            (&cache_errors, &bundle_misses, &stream_errors, &store_errors);
+        let (stream_errors, store_errors) = (&stream_errors, &store_errors);
         for worker in 0..jobs {
             scope.spawn(move || {
                 // Each worker owns one simulation arena reused across every cell it
@@ -834,8 +620,8 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                             }
                             Some(Ok(stats))
                         }
-                        // Pre-resolved result-cache hit: no trace, no decode,
-                        // no simulation. The cell is still appended to the
+                        // Pre-resolved result-cache hit: no trace and no
+                        // simulation. The cell is still appended to the
                         // sink (it was not restored from there), so shard
                         // streams stay complete for merge and coordinate.
                         None if resolved[k].is_some() => {
@@ -882,76 +668,28 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                         None => {
                             let slot_ix =
                                 slot_index[k].expect("non-cached cells have a trace slot");
-                            if opts.no_recycle || !arena.is_warm() {
-                                wstats.rebuilds += 1;
-                            } else {
+                            if arena.is_warm() {
                                 wstats.resets += 1;
+                            } else {
+                                wstats.rebuilds += 1;
                             }
-                            // Acquisition metering for the event journal: filled in
-                            // only by the worker that actually acquires the shared
-                            // trace (the pair's other cells reuse it for free).
-                            let mut acq: Option<(
-                                TraceSource,
-                                u64,
-                                std::time::Duration,
-                                std::time::Duration,
-                            )> = None;
+                            // Generation time for the event journal: set only by the
+                            // worker that generates the shared trace (the pair's
+                            // other cells reuse it for free).
+                            let mut generated: Option<std::time::Duration> = None;
                             let run =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let acquire = |acq: &mut Option<_>| {
-                                        let acquired = acquire_program(
-                                            &plan.workloads[planned.workload],
-                                            plan.trace_len,
-                                            id.seed,
-                                            opts,
-                                        );
-                                        if let Some(err) = acquired.cache_error {
-                                            cache_errors
-                                                .lock()
-                                                .unwrap_or_else(|e| e.into_inner())
-                                                .push(err);
-                                        }
-                                        if let Some(miss) = acquired.bundle_miss {
-                                            bundle_misses
-                                                .lock()
-                                                .unwrap_or_else(|e| e.into_inner())
-                                                .push(miss);
-                                        }
-                                        if let Some(collector) = opts.stats {
-                                            collector.record_trace(acquired.source);
-                                        }
-                                        *acq = Some((
-                                            acquired.source,
-                                            acquired.bytes,
-                                            acquired.acquire,
-                                            acquired.decode,
-                                        ));
-                                        Arc::new(acquired.program)
-                                    };
-                                    let program = if opts.no_shared_decode {
-                                        // Legacy A/B path: every cell decodes its
-                                        // own copy of the trace.
-                                        acquire(&mut acq)
-                                    } else {
+                                    let program = {
                                         let mut slot = programs[slot_ix]
                                             .lock()
                                             .unwrap_or_else(|e| e.into_inner());
                                         if slot.program.is_none() {
-                                            // First consumer of this plan's slot:
-                                            // try the cross-plan arena registry
-                                            // before decoding.
-                                            let key = &slot_keys[slot_ix];
-                                            let from_arena = arenas.and_then(|a| a.lookup(key));
-                                            slot.program = Some(match from_arena {
-                                                Some(p) => p,
-                                                None => {
-                                                    let p = acquire(&mut acq);
-                                                    if let Some(a) = arenas {
-                                                        a.publish(key, p.clone());
-                                                    }
-                                                    p
-                                                }
-                                            });
+                                            let start = std::time::Instant::now();
+                                            slot.program = Some(Arc::new(
+                                                plan.workloads[planned.workload]
+                                                    .generate(plan.trace_len, id.seed),
+                                            ));
+                                            generated = Some(start.elapsed());
                                         }
                                         slot.program.clone().expect("slot was just filled")
                                     };
@@ -967,23 +705,15 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                                             program.instructions(),
                                             oracle_opts,
                                         );
-                                        let stats = if opts.no_recycle {
-                                            Cpu::new(MachineConfig::clone(config), &program)
-                                                .run_observed(&mut checker)
-                                        } else {
-                                            Cpu::recycle(&mut arena, config, &program)
-                                                .run_observed(&mut checker)
-                                        };
+                                        let stats = Cpu::recycle(&mut arena, config, &program)
+                                            .run_observed(&mut checker);
                                         match checker.divergence() {
                                             Some(d) => Err(format!("oracle divergence: {d}")),
                                             None => Ok((stats, sim_start.elapsed())),
                                         }
                                     } else {
-                                        let stats = if opts.no_recycle {
-                                            Cpu::new(MachineConfig::clone(config), &program).run()
-                                        } else {
-                                            Cpu::recycle(&mut arena, config, &program).run()
-                                        };
+                                        let stats =
+                                            Cpu::recycle(&mut arena, config, &program).run();
                                         Ok((stats, sim_start.elapsed()))
                                     }
                                 }));
@@ -996,12 +726,13 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                             wstats.cells_simulated += 1;
                             wstats.slab_high_water =
                                 wstats.slab_high_water.max(arena.rename_slab_len() as u64);
-                            // A cell that did not acquire the trace itself was
-                            // served an already-decoded shared arena.
-                            if acq.is_none() {
-                                if let Some(collector) = opts.stats {
-                                    collector.record_shared_decode();
-                                }
+                            if let Some(collector) = opts.stats {
+                                let counter = if generated.is_some() {
+                                    &collector.traces_generated
+                                } else {
+                                    &collector.cells_shared_trace
+                                };
+                                counter.fetch_add(1, Ordering::Relaxed);
                             }
                             // `phase` tells a journal reader *how* the cell failed:
                             // "oracle" (golden-model divergence) vs "panic".
@@ -1044,22 +775,12 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                                 }
                             }
                             if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
-                                if let Some((source, bytes, acquire, decode)) = &acq {
+                                if let Some(dur) = generated {
                                     events.emit_cell(
                                         event_kind::TRACE_ACQUIRED,
                                         &id,
                                         worker,
-                                        [
-                                            ("source", json::string(source.label())),
-                                            ("bytes", json::uint(*bytes)),
-                                            ("dur_us", json::number(acquire.as_secs_f64() * 1e6)),
-                                        ],
-                                    );
-                                    events.emit_cell(
-                                        event_kind::DECODED,
-                                        &id,
-                                        worker,
-                                        [("dur_us", json::number(decode.as_secs_f64() * 1e6))],
+                                        [("dur_us", json::number(dur.as_secs_f64() * 1e6))],
                                     );
                                 }
                                 match (&result, sim_dur) {
@@ -1115,17 +836,9 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                             }
                             if let Some(o) = opts.obs {
                                 if let Some(metrics) = &o.metrics {
-                                    if let Some((source, bytes, acquire, decode)) = &acq {
-                                        match source {
-                                            TraceSource::Bundle => metrics.trace_bundle_hits.inc(),
-                                            TraceSource::CacheHit => metrics.trace_cache_hits.inc(),
-                                            TraceSource::Generated => {
-                                                metrics.traces_generated.inc()
-                                            }
-                                        }
-                                        metrics.trace_bytes_read.add(*bytes);
-                                        metrics.trace_acquire_seconds.record(*acquire);
-                                        metrics.decode_seconds.record(*decode);
+                                    if let Some(dur) = generated {
+                                        metrics.traces_generated.inc();
+                                        metrics.trace_acquire_seconds.record(dur);
                                     }
                                     match &result {
                                         Ok(stats) => {
@@ -1162,19 +875,14 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
 
                     // Whether simulated, restored, skipped, or failed, this
                     // (workload, seed) pair has one fewer cell outstanding; free the
-                    // trace after the last one — and release the plan's use of the
-                    // shared arena, so registry memory stays bounded by the traces
-                    // still registered (an artifact-level pin, a concurrent plan),
-                    // never by the whole matrix. Cache-served cells have no slot:
-                    // they never joined a trace group in the first place.
+                    // trace after the last one, so sweep memory stays bounded by the
+                    // traces in active use. Cache-served cells have no slot: they
+                    // never joined a trace group in the first place.
                     if let Some(slot_ix) = slot_index[k] {
                         let mut slot = programs[slot_ix].lock().unwrap_or_else(|e| e.into_inner());
                         slot.remaining -= 1;
                         if slot.remaining == 0 {
                             slot.program = None;
-                            if let Some(a) = arenas {
-                                a.release(&slot_keys[slot_ix], 1);
-                            }
                         }
                     }
 
@@ -1216,12 +924,6 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
 
     // Workers push errors in completion order; sort so the aggregated warning (which
     // flows into report notes) is deterministic regardless of `jobs`.
-    let mut cache_errors = cache_errors.into_inner().unwrap_or_else(|e| e.into_inner());
-    cache_errors.sort_unstable();
-    let mut bundle_misses = bundle_misses
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    bundle_misses.sort_unstable();
     let mut stream_errors = stream_errors
         .into_inner()
         .unwrap_or_else(|e| e.into_inner());
@@ -1229,21 +931,6 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
     let mut store_errors = store_errors.into_inner().unwrap_or_else(|e| e.into_inner());
     store_errors.sort_unstable();
     let mut warnings = Vec::new();
-    if !cache_errors.is_empty() {
-        warnings.push(format!(
-            "trace cache errored for {} trace(s); regenerated directly (first: {})",
-            cache_errors.len(),
-            cache_errors[0]
-        ));
-    }
-    if !bundle_misses.is_empty() {
-        warnings.push(format!(
-            "trace bundle could not serve {} trace(s); fell back to the cache/generator \
-             (first: {})",
-            bundle_misses.len(),
-            bundle_misses[0]
-        ));
-    }
     if !stream_errors.is_empty() {
         warnings.push(format!(
             "failed to append {} result line(s) to the JSONL stream (first: {})",
@@ -1261,7 +948,6 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
     }
     SweepResult {
         cells,
-        cache_fallbacks: cache_errors.len(),
         warnings,
         restored: restored_count.into_inner(),
         skipped: skipped_count.into_inner(),
@@ -1269,29 +955,26 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
     }
 }
 
-/// Single-seed compatibility wrapper over [`run_cells`]: runs every configuration
-/// over every workload, emitting any aggregated warnings to stderr, and returns the
-/// cells in workload-major, configuration-minor order.
-pub fn run_matrix_cached(
-    workloads: &[WorkloadProfile],
-    configs: &[MachineConfig],
-    trace_len: usize,
-    seed: u64,
-    opts: &RunOptions<'_>,
-) -> Vec<ExperimentCell> {
-    let result = run_cells("matrix", workloads, configs, trace_len, &[seed], 0, opts);
-    result.emit_warnings();
-    result.cells
-}
-
-/// [`run_matrix_cached`] without a cache: every workload is generated afresh.
+/// Single-seed convenience wrapper over [`run_cells`] with default options: runs
+/// every configuration over every workload, emitting any aggregated warnings to
+/// stderr, and returns the cells in workload-major, configuration-minor order.
 pub fn run_matrix(
     workloads: &[WorkloadProfile],
     configs: &[MachineConfig],
     trace_len: usize,
     seed: u64,
 ) -> Vec<ExperimentCell> {
-    run_matrix_cached(workloads, configs, trace_len, seed, &RunOptions::default())
+    let result = run_cells(
+        "matrix",
+        workloads,
+        configs,
+        trace_len,
+        &[seed],
+        0,
+        &RunOptions::default(),
+    );
+    result.emit_warnings();
+    result.cells
 }
 
 /// Parses the optional `[trace_len] [seed]` positional arguments accepted by the
@@ -1422,72 +1105,6 @@ mod tests {
         let s3 = result.cells[0].stats().unwrap();
         let s4 = result.cells[1].stats().unwrap();
         assert_ne!(format!("{s3:?}"), format!("{s4:?}"));
-    }
-
-    #[test]
-    fn cached_matrix_matches_uncached() {
-        let dir = std::env::temp_dir().join(format!("svw-runner-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = TraceCache::new(&dir).unwrap();
-        let workloads = vec![WorkloadProfile::quicktest()];
-        let configs = vec![MachineConfig::eight_wide(
-            "nlq",
-            LsqOrganization::Nlq {
-                store_exec_bandwidth: 2,
-            },
-            ReexecMode::Full,
-        )];
-        let opts = RunOptions {
-            cache: Some(&cache),
-            ..RunOptions::default()
-        };
-        let cold = run_matrix_cached(&workloads, &configs, 2_000, 9, &opts);
-        let warm = run_matrix_cached(&workloads, &configs, 2_000, 9, &opts);
-        let direct = run_matrix(&workloads, &configs, 2_000, 9);
-        assert_eq!(
-            format!("{:?}", cold[0].stats().unwrap()),
-            format!("{:?}", warm[0].stats().unwrap())
-        );
-        assert_eq!(
-            format!("{:?}", cold[0].stats().unwrap()),
-            format!("{:?}", direct[0].stats().unwrap())
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Satellite regression: a trace-cache error must neither kill the sweep nor
-    /// produce one warning per workload — the cells still complete (regenerated
-    /// directly) and the sweep reports a single aggregated warning.
-    #[test]
-    fn cache_errors_fall_back_and_aggregate_into_one_warning() {
-        let dir =
-            std::env::temp_dir().join(format!("svw-runner-unwritable-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = TraceCache::new(&dir).unwrap();
-        // Make every capture fail: the cache directory vanishes after open.
-        std::fs::remove_dir_all(&dir).unwrap();
-        let workloads = vec![
-            WorkloadProfile::quicktest(),
-            WorkloadProfile::by_name("gzip").unwrap(),
-        ];
-        let opts = RunOptions {
-            cache: Some(&cache),
-            ..RunOptions::default()
-        };
-        let result = run_cells("test", &workloads, &two_configs(), 2_000, &[1], 0, &opts);
-        assert_eq!(
-            result.failures().count(),
-            0,
-            "cells fell back and completed"
-        );
-        assert_eq!(result.cache_fallbacks, 2, "one fallback per workload trace");
-        assert_eq!(
-            result.warnings.len(),
-            1,
-            "a single aggregated warning, not one line per workload: {:?}",
-            result.warnings
-        );
-        assert!(result.warnings[0].contains("2 trace(s)"));
     }
 
     #[test]

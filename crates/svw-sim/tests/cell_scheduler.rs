@@ -64,44 +64,54 @@ fn fingerprint(cells: &[svw_sim::ExperimentCell]) -> String {
 }
 
 /// The cell-parallel scheduler must produce byte-identical statistics to the plain
-/// sequential path for the same matrix, regardless of the number of jobs — and
-/// regardless of whether workers recycle their simulation arenas (the default) or
-/// build a fresh `Cpu` per cell. A recycled arena crosses cells with different
-/// configurations, workloads, and seeds; any state leaking through a reset would
-/// show up here as a fingerprint mismatch.
+/// sequential path for the same matrix, regardless of the number of jobs. Workers
+/// recycle their simulation arenas, so a recycled arena crosses cells with
+/// different configurations, workloads, and seeds; any state leaking through a
+/// reset would show up here as a fingerprint mismatch. A poisoned configuration
+/// sits between the healthy ones: its cells panic while sharing their
+/// `(workload, seed)` trace with healthy siblings, which must still match the
+/// reference after the panicking worker discards its arena.
 #[test]
 fn scheduler_is_deterministic_across_job_counts_and_arena_reuse() {
     let workloads = workloads();
-    let configs = configs();
+    let mut configs = configs();
+    let mut poisoned = configs[0].clone();
+    poisoned.name = "poisoned".to_string();
+    poisoned.rob_size = 0; // MachineConfig::validate panics inside the cell
+    configs.insert(1, poisoned);
     let seeds = [5u64, 6];
 
-    // The sequential reference: a plain nested loop in canonical order.
+    // The sequential reference: a plain nested loop in canonical order, with a
+    // panicking cell rendered like a failed one (no stats).
     let mut reference = String::new();
     for w in &workloads {
         for c in &configs {
             for &s in &seeds {
                 let program = w.generate(LEN, s);
-                let stats = Cpu::new(c.clone(), &program).run();
-                reference.push_str(&format!("{}|{}|{}|{:?}\n", w.name, c.name, s, stats));
+                let stats = std::panic::catch_unwind(|| Cpu::new(c.clone(), &program).run())
+                    .map(|stats| format!("{stats:?}"))
+                    .unwrap_or_default();
+                reference.push_str(&format!("{}|{}|{}|{}\n", w.name, c.name, s, stats));
             }
         }
     }
 
     for jobs in [1usize, 4, 16] {
-        for no_recycle in [false, true] {
-            let opts = RunOptions {
-                jobs,
-                no_recycle,
-                ..RunOptions::default()
-            };
-            let result = run_cells("det", &workloads, &configs, LEN, &seeds, 0, &opts);
-            assert_eq!(
-                fingerprint(&result.cells),
-                reference,
-                "scheduler output diverged from the sequential path at \
-                 jobs={jobs} no_recycle={no_recycle}"
-            );
-        }
+        let opts = RunOptions {
+            jobs,
+            ..RunOptions::default()
+        };
+        let result = run_cells("det", &workloads, &configs, LEN, &seeds, 0, &opts);
+        assert_eq!(
+            result.failures().count(),
+            workloads.len() * seeds.len(),
+            "exactly the poisoned cells fail at jobs={jobs}"
+        );
+        assert_eq!(
+            fingerprint(&result.cells),
+            reference,
+            "scheduler output diverged from the sequential path at jobs={jobs}"
+        );
     }
 }
 

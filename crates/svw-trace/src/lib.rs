@@ -1,13 +1,12 @@
-//! # svw-trace — compact binary trace capture/replay and the on-disk trace cache
+//! # svw-trace — compact binary trace capture and replay
 //!
-//! The reproduction's workloads are synthetic, so every experiment used to pay the
-//! full cost of regenerating its instruction streams. This crate makes traces
-//! first-class artifacts: a [`TraceWriter`] serializes a resolved dynamic trace into
-//! the compact `.svwt` format, a streaming [`TraceReader`] replays one back — either
-//! materialized into a [`Program`] or incrementally through the
-//! [`InstStream`](svw_isa::InstStream) trait without ever holding the whole trace in
-//! memory — and a [`TraceCache`] keyed by `(profile fingerprint, trace length, seed)`
-//! guarantees each workload is generated exactly once per machine.
+//! This crate makes traces first-class artifacts: a [`TraceWriter`] serializes a
+//! resolved dynamic trace into the compact `.svwt` format, and a streaming
+//! [`TraceReader`] replays one back — either materialized into a [`Program`] or
+//! incrementally through the [`InstStream`](svw_isa::InstStream) trait without ever
+//! holding the whole trace in memory. It is the path for traces that cannot be
+//! regenerated; sweeps over the synthetic workloads generate their traces directly,
+//! which is cheaper than reading them back (see `docs/CACHING.md`).
 //!
 //! # The `.svwt` format (version 1)
 //!
@@ -56,7 +55,7 @@
 //!
 //! Writing is fully deterministic — no timestamps, no platform-dependent fields — so
 //! capturing the same `(profile, len, seed)` twice produces byte-identical files,
-//! which the determinism tests assert and the cache relies on.
+//! which the determinism tests assert.
 //!
 //! # Example
 //!
@@ -79,17 +78,11 @@ use std::io;
 
 use svw_isa::Program;
 
-mod bundle;
-mod cache;
 mod codec;
 mod reader;
 mod varint;
 mod writer;
 
-pub use bundle::{
-    pack_bundle, PackStats, TraceBundle, BUNDLE_FILE_EXTENSION, BUNDLE_FORMAT_VERSION, BUNDLE_MAGIC,
-};
-pub use cache::{CacheOutcome, FetchMeter, TraceCache};
 pub use reader::{TraceHeader, TraceReader};
 pub use writer::{write_program, TraceWriter};
 

@@ -33,14 +33,10 @@
 #![warn(missing_docs)]
 
 mod adversarial;
-pub mod arenas;
 mod generator;
-pub mod manifest;
 mod profile;
 mod spec;
 
 pub use adversarial::adversarial_names;
-pub use arenas::{ArenaPin, TraceArenas};
-pub use manifest::{BundleManifest, ManifestEntry, TraceKey};
 pub use profile::WorkloadProfile;
 pub use spec::spec2000int_names;

@@ -105,24 +105,11 @@ impl WorkloadProfile {
         Generator::new(self, seed).generate(num_insts)
     }
 
-    /// [`WorkloadProfile::generate`] plus the wall time the generation took, so
-    /// instrumented runners can attribute trace-acquisition cost without timing
-    /// around the call themselves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile's fractions are not sane (see [`WorkloadProfile::validate`]).
-    pub fn generate_timed(&self, num_insts: usize, seed: u64) -> (Program, std::time::Duration) {
-        let start = std::time::Instant::now();
-        let program = self.generate(num_insts, seed);
-        (program, start.elapsed())
-    }
-
     /// A stable 64-bit fingerprint of every behavioural parameter (FNV-1a over the
     /// name and the raw bits of each knob). Two profiles share a fingerprint exactly
     /// when they would generate identical traces for the same `(num_insts, seed)`, so
-    /// the trace cache uses it as part of its key: editing a profile automatically
-    /// invalidates that profile's cached traces.
+    /// `.svwt` headers, JSONL result lines, and result-cache keys carry it: editing a
+    /// profile automatically invalidates every result produced under the old one.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |bytes: &[u8]| {

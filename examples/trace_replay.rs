@@ -1,14 +1,12 @@
 //! Trace capture and replay: capture a workload to a `.svwt` file, replay it both
 //! materialized and streaming, and show that the timing model cannot tell any of the
-//! three apart — plus what the trace cache saves on the second acquisition.
+//! three apart.
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
-use std::time::Instant;
-
 use svw::core::SvwConfig;
 use svw::cpu::{Cpu, LsqOrganization, MachineConfig, ReexecMode};
-use svw::trace::{TraceCache, TraceReader};
+use svw::trace::TraceReader;
 use svw::workloads::WorkloadProfile;
 
 fn config() -> MachineConfig {
@@ -61,23 +59,4 @@ fn main() {
     assert_eq!(format!("{direct:?}"), format!("{materialized:?}"));
     assert_eq!(format!("{direct:?}"), format!("{streamed:?}"));
     println!("all three replays produced identical statistics");
-
-    // The cache: first acquisition generates and captures, the second reads back.
-    let dir = std::env::temp_dir().join("svw-example-trace-cache");
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = TraceCache::new(&dir).expect("cache dir is writable");
-    let t = Instant::now();
-    let (_, first) = cache
-        .get_or_generate(&profile, trace_len, seed)
-        .expect("capture works");
-    let miss_time = t.elapsed();
-    let t = Instant::now();
-    let (_, second) = cache
-        .get_or_generate(&profile, trace_len, seed)
-        .expect("replay works");
-    let hit_time = t.elapsed();
-    println!(
-        "cache: first acquisition {first:?} in {miss_time:?}, second {second:?} in {hit_time:?}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }

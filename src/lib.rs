@@ -16,9 +16,9 @@
 //! * [`lsq`] — conventional / NLQ / SSQ queue structures;
 //! * [`rle`] — register integration (redundant load elimination);
 //! * [`cpu`] — the cycle-level out-of-order core with the re-execution pipeline;
-//! * [`trace`] — `.svwt` trace capture/replay and the on-disk trace cache;
+//! * [`trace`] — `.svwt` trace capture/replay;
 //! * [`obs`] — atomic metrics registry and timing spans for sweep observability;
-//! * [`sim`] — per-figure machine presets, the cache-aware experiment runner,
+//! * [`sim`] — per-figure machine presets, the parallel experiment runner,
 //!   report tables, and the unified `svwsim` CLI.
 //!
 //! # Quick start
@@ -56,9 +56,9 @@ pub use svw_obs as obs;
 pub use svw_predictors as predictors;
 /// Redundant load elimination via register integration.
 pub use svw_rle as rle;
-/// Experiment presets, cache-aware runner, and report tables for every figure/table.
+/// Experiment presets, parallel runner, and report tables for every figure/table.
 pub use svw_sim as sim;
-/// Binary trace capture/replay (`.svwt`) and the on-disk trace cache.
+/// Binary trace capture/replay (`.svwt`).
 pub use svw_trace as trace;
 /// Synthetic SPEC2000int-like workload generation.
 pub use svw_workloads as workloads;
