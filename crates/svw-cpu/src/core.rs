@@ -1,10 +1,15 @@
 //! The cycle-level pipeline model.
 //!
-//! All growable machine state (ROB ring, rename slab, queues, predictor and cache
-//! tables, SSBF, …) lives in a [`Pipeline`] owned by a [`SimArena`]. A sweep worker
-//! keeps one arena and calls [`Cpu::recycle`] per cell: the pipeline is cleared *in
-//! place* with every heap allocation retained, so cell startup is a reset rather than
-//! a rebuild and the steady-state simulation loop performs no allocation at all.
+//! All growable machine state (ROB ring, rename slab, wake slab and ready set,
+//! queues, predictor and cache tables, SSBF, …) lives in a [`Pipeline`] owned by a
+//! [`SimArena`]. A sweep worker keeps one arena and calls [`Cpu::recycle`] per cell:
+//! the pipeline is cleared *in place* with every heap allocation retained, so cell
+//! startup is a reset rather than a rebuild and the steady-state simulation loop
+//! performs no allocation at all.
+//!
+//! Issue is wakeup-driven (see the `wakeup` module) and [`Cpu::run`] skips cycles in
+//! which provably nothing can happen, jumping straight to the next pending event.
+//! Both are exact: every cycle count matches stepping the machine cycle by cycle.
 //! [`Cpu::new`] remains the one-shot entry point (it boxes a private pipeline).
 
 use std::cmp::Reverse;
@@ -23,6 +28,7 @@ use svw_rle::{IntegrationTable, ItEntry, ItSignature, RleKind};
 
 use crate::observe::{CommitObserver, CommitRecord, FwdOrigin};
 use crate::rob::{HasSeq, RobRing};
+use crate::wakeup::{ReadySet, WakeLists, NO_NODE};
 use crate::{CpuStats, LsqOrganization, MachineConfig, ReexecMode};
 
 /// Re-execution state of a marked load.
@@ -47,8 +53,16 @@ struct RobEntry {
     cls: OpClass,
     /// Source operands: the producing dynamic instruction, if the value comes from an
     /// in-flight (or not-yet-fetched-when-flushed) producer rather than committed
-    /// state.
+    /// state. Only the ready-set reference check reads it.
+    #[cfg(test)]
     src_producers: [Option<InstSeq>; 2],
+    /// Source operands whose producers have not completed yet (issue-queue entries
+    /// only); the entry joins the ready set when this reaches zero.
+    pending_srcs: u8,
+    /// Flush epoch at dispatch (see [`WakeLists`]).
+    epoch: u32,
+    /// Head of this entry's consumer chain in the wake slab.
+    consumers: u32,
     has_dst: bool,
     issued: bool,
     completed: bool,
@@ -95,8 +109,6 @@ struct HistNode {
     /// Slab index of the next-older binding of the same register, or [`NO_NODE`].
     prev: u32,
 }
-
-const NO_NODE: u32 = u32::MAX;
 
 /// The register rename state: per architectural register, the current producer and a
 /// monotonically increasing version number (the "physical register" identity used by
@@ -309,6 +321,14 @@ impl Source<'_> {
         }
     }
 
+    /// The instruction `seq` if it is available without pulling from the stream.
+    fn peek(&self, seq: InstSeq) -> Option<&DynInst> {
+        match self {
+            Source::Slice(insts) => insts.get(seq as usize),
+            Source::Stream { buf, base, .. } => buf.get(seq.checked_sub(*base)? as usize),
+        }
+    }
+
     /// Pulls from the stream until instructions `..upto` (exclusive, clamped to the
     /// trace length) are buffered.
     fn ensure(&mut self, upto: usize) {
@@ -406,10 +426,13 @@ struct Pipeline {
     exec_events: BinaryHeap<Reverse<(u64, InstSeq)>>,
     /// Pending re-execution cache-access completions, same discipline.
     rex_events: BinaryHeap<Reverse<(u64, InstSeq)>>,
-    /// Every entry below this sequence number is already issued (or completed): the
-    /// issue stage's select scan starts here instead of at the ROB head. Rolled back
-    /// on flush.
-    issue_scan_start: InstSeq,
+
+    // Wakeup-driven issue: completion walks the producer's consumer chain, and
+    // issue selects only from the ready set.
+    wake: WakeLists,
+    ready: ReadySet,
+    /// Bumped by every flush; see [`WakeLists`].
+    flush_epoch: u32,
 
     // Reusable scratch for the re-execution stage's batched SSBF calls (one probe
     // batch per run of marked loads, one update batch per run of stores). Contents
@@ -455,7 +478,9 @@ impl Pipeline {
             stats: CpuStats::default(),
             exec_events: BinaryHeap::new(),
             rex_events: BinaryHeap::new(),
-            issue_scan_start: 0,
+            wake: WakeLists::new(),
+            ready: ReadySet::new(config.rob_size),
+            flush_epoch: 0,
             rex_probes: Vec::new(),
             rex_decisions: Vec::new(),
             rex_stores: Vec::new(),
@@ -522,7 +547,9 @@ impl Pipeline {
         self.stats = CpuStats::default();
         self.exec_events.clear();
         self.rex_events.clear();
-        self.issue_scan_start = 0;
+        self.wake.reset();
+        self.ready.reset(config.rob_size);
+        self.flush_epoch = 0;
         self.rex_probes.clear();
         self.rex_decisions.clear();
         self.rex_stores.clear();
@@ -543,8 +570,11 @@ impl Pipeline {
         self.now += 1;
     }
 
-    // ---------------------------------------------------------------- helpers
+    // ------------------------------------------------------- test references
 
+    /// The operand-readiness predicate of the per-cycle select scan that wakeup-driven
+    /// issue replaced, kept as the reference the ready set is checked against.
+    #[cfg(test)]
     fn source_ready(&self, producer: Option<InstSeq>) -> bool {
         match producer {
             None => true,
@@ -553,6 +583,141 @@ impl Pipeline {
                 Some(e) => e.completed && e.complete_cycle <= self.now,
             },
         }
+    }
+
+    /// Asserts that the ready set is exactly what the old scan would have found
+    /// ready: the unissued, non-eliminated ROB entries whose producers satisfy
+    /// [`Pipeline::source_ready`]. Also checks each waiting entry's pending-source
+    /// count and that the unissued entries are exactly the `iq_count` IQ entries.
+    #[cfg(test)]
+    fn assert_ready_set_matches_scan(&self) {
+        let (mut unissued, mut ready) = (0usize, 0usize);
+        for e in self.rob.iter() {
+            if e.issued || e.completed || e.eliminated.is_some() {
+                assert!(
+                    !self.ready.contains(e.seq),
+                    "seq {} is ready but not waiting in the IQ",
+                    e.seq
+                );
+                continue;
+            }
+            unissued += 1;
+            let waiting = e
+                .src_producers
+                .iter()
+                .filter(|&&p| !self.source_ready(p))
+                .count();
+            assert_eq!(
+                usize::from(e.pending_srcs),
+                waiting,
+                "seq {} pending-source count at cycle {}",
+                e.seq,
+                self.now
+            );
+            assert_eq!(
+                self.ready.contains(e.seq),
+                waiting == 0,
+                "seq {} ready-set membership at cycle {}",
+                e.seq,
+                self.now
+            );
+            ready += usize::from(waiting == 0);
+        }
+        assert_eq!(unissued, self.iq_count, "unissued ROB entries are the IQ");
+        assert_eq!(ready, self.ready.len(), "ready set holds only ROB entries");
+    }
+
+    // ------------------------------------------------------------ idle cycles
+
+    /// If the machine provably cannot make progress at `now` nor at any later cycle
+    /// before its next pending event, returns that event's cycle and whether each
+    /// skipped cycle counts as a commit stall on re-execution. Every stage must be
+    /// blocked on state that only an event (a completion, a re-execution access, the
+    /// end of a fetch stall) can change; where that cannot be shown, returns `None`
+    /// and the caller steps normally.
+    fn idle_until(&self, config: &MachineConfig, source: &Source<'_>) -> Option<(u64, bool)> {
+        // Issue: nothing ready, and only a completion can make anything ready.
+        if !self.ready.is_empty() {
+            return None;
+        }
+        // Complete: nothing due.
+        let now = self.now;
+        let mut next = [&self.exec_events, &self.rex_events]
+            .into_iter()
+            .filter_map(|h| h.peek().map(|&Reverse((cycle, _))| cycle))
+            .min()
+            .unwrap_or(u64::MAX);
+        if next <= now {
+            return None;
+        }
+        // Dispatch: stalled until a known cycle, or blocked on state only commit,
+        // issue or a completion changes.
+        if now < self.fetch_stall_until {
+            next = next.min(self.fetch_stall_until);
+        } else if self.fetch_blocked_on_branch.is_none() && !self.dispatch_blocked(config, source) {
+            return None;
+        }
+        // Re-execute: stalled on an unexecuted instruction, an empty window, or (atomic
+        // SSBF updates) a store behind in-flight re-executions.
+        if config.reexec.verifies() {
+            if let Some(e) = self.rob.get(self.rex_next_seq) {
+                let stalled = match e.cls {
+                    OpClass::Load => !e.completed,
+                    OpClass::Store => {
+                        !e.completed
+                            || (config.reexec.is_svw()
+                                && !self.svw.speculative_ssbf_updates()
+                                && self.rex_inflight > 0)
+                    }
+                    _ => false,
+                };
+                if !stalled {
+                    return None;
+                }
+            }
+        }
+        // Commit: the head has not completed, waits for re-execute to pass it, or is a
+        // marked load whose verification has not finished (a counted stall).
+        let Some(head) = self.rob.front() else {
+            return Some((next, false));
+        };
+        if !head.completed
+            || head.complete_cycle > now
+            || (config.reexec.verifies() && head.seq >= self.rex_next_seq)
+        {
+            return Some((next, false));
+        }
+        if head.cls == OpClass::Load && head.marked && config.reexec.verifies() {
+            // An `InFlight(done)` access has its event at `done`, so `done >= next`.
+            match head.rex {
+                RexState::Idle => return Some((next, true)),
+                RexState::InFlight(done) if done > now => return Some((next, true)),
+                _ => {}
+            }
+        }
+        None
+    }
+
+    /// Whether dispatch (not stalled on fetch) cannot move: a wrap-around drain waits
+    /// for the ROB to empty, the trace is exhausted, or the next instruction lacks a
+    /// structural resource.
+    fn dispatch_blocked(&self, config: &MachineConfig, source: &Source<'_>) -> bool {
+        if self.wrap_drain_pending {
+            return !self.rob.is_empty();
+        }
+        if self.fetch_index >= source.len() {
+            return true;
+        }
+        if self.rob.len() >= config.rob_size || self.iq_count >= config.iq_size {
+            return true;
+        }
+        let Some(inst) = source.peek(self.fetch_index as InstSeq) else {
+            return false;
+        };
+        let cls = inst.class();
+        (cls == OpClass::Load && !self.lq.has_space())
+            || (cls == OpClass::Store && !self.sq.has_space())
+            || (inst.dst().is_some() && self.inflight_dsts >= config.phys_regs)
     }
 
     // ----------------------------------------------------------------- commit
@@ -602,7 +767,7 @@ impl Pipeline {
                     }
                     RexState::InFlight(_) => {
                         // The access has finished: resolve it now.
-                        self.rex_inflight = self.rex_inflight.saturating_sub(1);
+                        self.rex_inflight -= 1;
                         let ok = exec_value == oracle_value;
                         let front = self.rob.front_mut().expect("head is in the ROB");
                         front.rex = if ok { RexState::Done } else { RexState::Failed };
@@ -974,6 +1139,8 @@ impl Pipeline {
                     if e.cls == OpClass::Branch && e.mispredicted {
                         unblock_branch = Some(e.seq);
                     }
+                    let head = std::mem::replace(&mut e.consumers, NO_NODE);
+                    self.wake_consumers(head);
                 }
             }
         }
@@ -989,7 +1156,7 @@ impl Pipeline {
                     } else {
                         RexState::Failed
                     };
-                    self.rex_inflight = self.rex_inflight.saturating_sub(1);
+                    self.rex_inflight -= 1;
                 }
             }
         }
@@ -1001,9 +1168,36 @@ impl Pipeline {
         }
     }
 
+    /// Drains a completed producer's consumer chain: each live consumer has one
+    /// source fewer to wait for, and joins the ready set when none remain. Nodes whose
+    /// consumer was squashed (absent, or re-dispatched in a later epoch) are dropped.
+    fn wake_consumers(&mut self, head: u32) {
+        let (rob, ready) = (&mut self.rob, &mut self.ready);
+        self.wake.drain(head, |consumer, epoch| {
+            if let Some(c) = rob.get_mut(consumer) {
+                if c.epoch == epoch {
+                    debug_assert!(!c.issued && c.pending_srcs > 0);
+                    c.pending_srcs -= 1;
+                    if c.pending_srcs == 0 {
+                        ready.insert(consumer);
+                    }
+                }
+            }
+        });
+    }
+
     // ------------------------------------------------------------------- issue
 
+    /// Selects ready instructions oldest first under the per-class issue budgets. Only
+    /// the ready set is visited: an entry whose operands are still in flight is never
+    /// looked at, and one that cannot issue this cycle (no budget, a predicted store
+    /// dependence, a busy FSQ or cache-bank port, a forwarding replay) stays ready.
     fn issue(&mut self, config: &MachineConfig, source: &Source<'_>) {
+        #[cfg(test)]
+        self.assert_ready_set_matches_scan();
+        // The unissued ROB entries are exactly the IQ entries, so selection can never
+        // look at more than `iq_size` candidates.
+        debug_assert!(self.iq_count <= config.iq_size);
         let mut budget_int = config.issue_int;
         let mut budget_fp = config.issue_fp;
         let mut budget_load = config.issue_load;
@@ -1011,21 +1205,15 @@ impl Pipeline {
         let mut budget_branch = config.issue_branch;
         let mut fsq_port_used = false;
         let mut pending_ordering_flush: Option<InstSeq> = None;
-        let mut scanned = 0usize;
 
         let Some(front) = self.rob.front().map(|e| e.seq) else {
             return;
         };
-        let end = self.rob.end_seq();
-        // Start behind the contiguous already-issued prefix instead of at the head:
-        // entries below `issue_scan_start` were all observed issued (the invariant is
-        // rolled back on flush), so re-scanning them every cycle is pure waste.
-        let mut seq_cursor = self.issue_scan_start.max(front);
-        let mut advancing = true;
-        while seq_cursor < end && scanned < config.iq_size {
+        let mut cursor = self.ready.cursor(front);
+        while let Some(seq) = self.ready.next(&mut cursor) {
             // Model v1 quirk, preserved for byte-identity: the early exit ignores
             // `budget_fp`, so once the other classes are exhausted a ready FP op
-            // waits a cycle even if FP slots remain. Model v2 keeps scanning
+            // waits a cycle even if FP slots remain. Model v2 keeps selecting
             // while FP bandwidth is left.
             if budget_int == 0
                 && budget_load == 0
@@ -1035,30 +1223,11 @@ impl Pipeline {
             {
                 break;
             }
-            let (seq, cls, pc, issued, completed, src_producers, wait_store) = {
-                let e = self.rob.get(seq_cursor).expect("cursor is in the ROB");
-                (
-                    e.seq,
-                    e.cls,
-                    e.pc,
-                    e.issued,
-                    e.completed,
-                    e.src_producers,
-                    e.wait_store,
-                )
+            let (cls, pc, wait_store) = {
+                let e = self.rob.get(seq).expect("ready entries are in the ROB");
+                debug_assert!(!e.issued && e.pending_srcs == 0);
+                (e.cls, e.pc, e.wait_store)
             };
-            seq_cursor += 1;
-            if issued || completed {
-                if advancing {
-                    self.issue_scan_start = seq + 1;
-                }
-                continue;
-            }
-            advancing = false;
-            scanned += 1;
-            if !self.source_ready(src_producers[0]) || !self.source_ready(src_producers[1]) {
-                continue;
-            }
             match cls {
                 OpClass::IntAlu | OpClass::IntMul | OpClass::Nop => {
                     if budget_int == 0 {
@@ -1121,8 +1290,8 @@ impl Pipeline {
         }
     }
 
-    fn do_issue_simple(&mut self, config: &MachineConfig, seq: InstSeq, cls: OpClass) {
-        let latency = config.issue_to_execute + cls.exec_latency();
+    /// Moves `seq` out of the IQ into execution, completing `latency` cycles from now.
+    fn start_execution(&mut self, seq: InstSeq, latency: u64) {
         let done = self.now + latency;
         let e = self
             .rob
@@ -1131,7 +1300,12 @@ impl Pipeline {
         e.issued = true;
         e.complete_cycle = done;
         self.exec_events.push(Reverse((done, seq)));
+        self.ready.remove(seq);
         self.iq_count -= 1;
+    }
+
+    fn do_issue_simple(&mut self, config: &MachineConfig, seq: InstSeq, cls: OpClass) {
+        self.start_execution(seq, config.issue_to_execute + cls.exec_latency());
     }
 
     /// Issues a store (address + data generation). Returns the sequence number of the
@@ -1160,13 +1334,7 @@ impl Pipeline {
                 .expect("store has an SSN");
             buf.record_store(seq, pc, ssn, acc.addr, acc.width, acc.value);
         }
-        let latency = config.issue_to_execute + OpClass::Store.exec_latency();
-        let done = self.now + latency;
-        let e = self.rob.get_mut(seq).expect("store is in the ROB");
-        e.issued = true;
-        e.complete_cycle = done;
-        self.exec_events.push(Reverse((done, seq)));
-        self.iq_count -= 1;
+        self.start_execution(seq, config.issue_to_execute + OpClass::Store.exec_latency());
 
         // The conventional LQ's associative ordering search (removed in the NLQ and
         // unnecessary under SSQ, whose re-execution of every load subsumes it).
@@ -1284,11 +1452,8 @@ impl Pipeline {
             }
             FwdOrigin::Memory => window,
         };
-        let done = self.now + latency;
+        self.start_execution(seq, latency);
         let e = self.rob.get_mut(seq).expect("load is in the ROB");
-        e.issued = true;
-        e.complete_cycle = done;
-        self.exec_events.push(Reverse((done, seq)));
         e.exec_value = Some(exec_value);
         e.window = svw_window;
         e.used_fsq = uses_fsq;
@@ -1301,7 +1466,6 @@ impl Pipeline {
             entry.marked = marked;
             entry.window = svw_window;
         }
-        self.iq_count -= 1;
         true
     }
 
@@ -1360,7 +1524,11 @@ impl Pipeline {
                 seq,
                 pc: inst.pc,
                 cls,
+                #[cfg(test)]
                 src_producers,
+                pending_srcs: 0,
+                epoch: self.flush_epoch,
+                consumers: NO_NODE,
                 has_dst,
                 issued: false,
                 completed: false,
@@ -1509,6 +1677,19 @@ impl Pipeline {
             }
             if enters_iq {
                 self.iq_count += 1;
+                // Wait on every producer still executing (or waiting to); a producer
+                // that has completed or committed already supplies its value.
+                for p in src_producers.into_iter().flatten() {
+                    if let Some(pe) = self.rob.get_mut(p) {
+                        if !pe.completed {
+                            self.wake.register(&mut pe.consumers, seq, self.flush_epoch);
+                            entry.pending_srcs += 1;
+                        }
+                    }
+                }
+                if entry.pending_srcs == 0 {
+                    self.ready.insert(seq);
+                }
             }
             self.rob.push_back(entry);
             if let Some(done) = exec_event {
@@ -1529,22 +1710,25 @@ impl Pipeline {
     fn flush_from(&mut self, flush_seq: InstSeq, penalty: u64) {
         while matches!(self.rob.back(), Some(e) if e.seq >= flush_seq) {
             let e = self.rob.back().expect("checked non-empty");
-            let (has_dst, eliminated, issued, completed, rex) =
-                (e.has_dst, e.eliminated, e.issued, e.completed, e.rex);
+            let (seq, has_dst, eliminated, issued, rex, consumers) =
+                (e.seq, e.has_dst, e.eliminated, e.issued, e.rex, e.consumers);
             self.rob.pop_back();
             if has_dst {
                 self.inflight_dsts -= 1;
             }
-            let entered_iq = eliminated.is_none();
-            if entered_iq && !issued {
+            if eliminated.is_none() && !issued {
                 self.iq_count -= 1;
-            } else if entered_iq && issued && !completed {
-                // Issued but not completed: it already left the IQ.
+                self.ready.remove(seq);
             }
+            // Every consumer on the chain is younger, so squashed too.
+            self.wake.drain(consumers, |_, _| {});
             if matches!(rex, RexState::InFlight(_)) {
-                self.rex_inflight = self.rex_inflight.saturating_sub(1);
+                self.rex_inflight -= 1;
             }
         }
+        // Survivors' chains may still hold nodes for squashed consumers; the new
+        // epoch tells them apart from the re-dispatched instructions reusing the seqs.
+        self.flush_epoch += 1;
         let survivor = self.rob.back().map(|e| e.seq);
         self.lq.flush_after(survivor);
         let surviving_ssn = self.sq.flush_after(survivor);
@@ -1561,24 +1745,26 @@ impl Pipeline {
         self.svw.flush(surviving_ssn);
         self.rename.rollback(flush_seq);
         self.rex_next_seq = self.rex_next_seq.min(flush_seq);
-        self.issue_scan_start = self.issue_scan_start.min(flush_seq);
         self.fetch_index = flush_seq as usize;
         self.fetch_stall_until = self.now + penalty;
         if matches!(self.fetch_blocked_on_branch, Some(b) if b >= flush_seq) {
             self.fetch_blocked_on_branch = None;
         }
-        self.rex_inflight = self
-            .rob
-            .iter()
-            .filter(|e| matches!(e.rex, RexState::InFlight(_)))
-            .count();
+        debug_assert_eq!(
+            self.rex_inflight,
+            self.rob
+                .iter()
+                .filter(|e| matches!(e.rex, RexState::InFlight(_)))
+                .count(),
+            "the pop loop keeps the in-flight re-execution count exact"
+        );
     }
 }
 
 /// A reusable simulation arena: owns one pipeline and hands it to successive
 /// [`Cpu::recycle`] calls. The first cell builds the pipeline; every later cell
-/// clears it in place with all heap allocations (ROB ring, rename slab, predictor
-/// and cache tables, queues, SSBF) retained, making cell startup a reset instead of
+/// clears it in place with all heap allocations (ROB ring, rename and wake slabs,
+/// ready set, predictor and cache tables, queues, SSBF) retained, making cell startup a reset instead of
 /// a rebuild and the steady-state loop allocation-free.
 ///
 /// Results are byte-identical to fresh [`Cpu::new`] construction — the scheduler
@@ -1741,6 +1927,18 @@ impl<'a> Cpu<'a> {
         let source = &mut self.source;
         let p = self.state.get_mut();
         while p.fetch_index < trace_len || !p.rob.is_empty() {
+            // Jump over cycles in which nothing can happen. The jump stops one short of
+            // the cap, so a stuck machine still trips the assert below exactly as if
+            // it had stepped every cycle.
+            if let Some((next, stalled_on_reexec)) = p.idle_until(config, source) {
+                let target = next.min(cycle_cap - 1);
+                if target > p.now {
+                    if stalled_on_reexec {
+                        p.stats.commit_stalled_on_reexec += target - p.now;
+                    }
+                    p.now = target;
+                }
+            }
             p.step(config, source, &mut obs);
             assert!(
                 p.now < cycle_cap,
@@ -1749,6 +1947,12 @@ impl<'a> Cpu<'a> {
                 trace_len
             );
         }
+        #[cfg(test)]
+        assert_eq!(
+            p.wake.live(),
+            0,
+            "every wake node is freed by the end of a run"
+        );
         if let Some(obs) = obs {
             obs.on_finish(&p.committed_mem);
         }
@@ -2005,6 +2209,86 @@ mod tests {
             high_water,
             "rebinding after rollback must reuse freed slab nodes, not allocate"
         );
+    }
+
+    /// Every run in a test build checks the ready set against the old select scan's
+    /// predicate at each issue stage, and that the wake slab ends empty. This drives
+    /// each squash and bypass path through those checks: conventional-LQ ordering
+    /// flushes, re-execution-failure flushes, branch mispredictions, RLE-eliminated
+    /// loads, and SSN wrap-around drains, plus a ROB whose size is not a power of two.
+    #[test]
+    fn ready_set_matches_the_scan_through_every_squash_path() {
+        let programs = [
+            small_program(6_000, 21),
+            WorkloadProfile::by_name("adv.alias")
+                .unwrap()
+                .generate(4_000, 22),
+            WorkloadProfile::by_name("adv.storm")
+                .unwrap()
+                .generate(4_000, 23),
+        ];
+        let nlq = LsqOrganization::Nlq {
+            store_exec_bandwidth: 2,
+        };
+        let narrow = SvwConfig {
+            ssn_width: svw_core::SsnWidth::Bits(8),
+            ..SvwConfig::paper_default()
+        };
+        let odd_rob = MachineConfig {
+            rob_size: 100,
+            iq_size: 40,
+            ..MachineConfig::eight_wide("nlq-full-rob100", nlq, ReexecMode::Full)
+        };
+        type Event = fn(&CpuStats) -> u64;
+        let cases: Vec<(MachineConfig, Event)> = vec![
+            (conventional_baseline("conv"), |s| s.ordering_flushes),
+            (
+                MachineConfig::eight_wide("nlq-full", nlq, ReexecMode::Full),
+                |s| s.reexec_flushes,
+            ),
+            (odd_rob, |s| s.reexec_flushes),
+            (
+                MachineConfig::eight_wide("nlq-narrow-ssn", nlq, ReexecMode::Svw(narrow)),
+                |s| s.wrap_drains,
+            ),
+            (
+                MachineConfig::four_wide(
+                    "rle-svw",
+                    LsqOrganization::Conventional {
+                        extra_load_latency: 0,
+                        store_exec_bandwidth: 1,
+                    },
+                    ReexecMode::Svw(SvwConfig::paper_default()),
+                )
+                .with_rle(ItConfig::paper_default()),
+                |s| s.loads_eliminated,
+            ),
+        ];
+        for (cfg, event) in cases {
+            let (mut hits, mut mispredicts) = (0, 0);
+            for program in &programs {
+                let stats = Cpu::new(cfg.clone(), program).run();
+                assert_eq!(stats.committed, program.len() as u64);
+                hits += event(&stats);
+                mispredicts += stats.branch_mispredictions;
+            }
+            assert!(hits > 0, "{} never exercised its path", cfg.name);
+            assert!(mispredicts > 0, "{} never mispredicted", cfg.name);
+        }
+    }
+
+    /// A machine that can never dispatch must still trip the forward-progress
+    /// assert: idle-cycle skipping stops one cycle short of the cap instead of
+    /// jumping past it.
+    #[test]
+    #[should_panic(expected = "forward-progress failure")]
+    fn a_stuck_machine_still_trips_the_forward_progress_cap() {
+        let program = small_program(200, 9);
+        let cfg = MachineConfig {
+            phys_regs: 0,
+            ..conventional_baseline("no-registers")
+        };
+        Cpu::new(cfg, &program).run();
     }
 
     #[test]

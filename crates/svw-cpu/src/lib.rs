@@ -42,6 +42,7 @@ mod core;
 mod observe;
 mod rob;
 mod stats;
+mod wakeup;
 
 pub use config::{LsqOrganization, MachineConfig, ReexecMode};
 pub use core::{Cpu, SimArena};
