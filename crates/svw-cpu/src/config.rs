@@ -271,8 +271,9 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any capacity is zero, or if an organisation that relies on
-    /// re-execution for correctness (NLQ, SSQ, RLE) is configured without it.
+    /// Panics if any capacity is zero, if a load could complete in the cycle it
+    /// issues, or if an organisation that relies on re-execution for correctness
+    /// (NLQ, SSQ, RLE) is configured without it.
     pub fn validate(&self) {
         assert!(self.fetch_width > 0 && self.commit_width > 0);
         assert!(
@@ -282,6 +283,11 @@ impl MachineConfig {
         );
         assert!(self.rob_size > 0 && self.iq_size > 0 && self.lq_size > 0 && self.sq_size > 0);
         assert!(self.issue_load > 0 && self.issue_store > 0 && self.issue_int > 0);
+        assert!(
+            self.issue_to_execute + self.hierarchy.l1d.hit_latency > 0,
+            "configuration {:?} would complete a load in the cycle it issues",
+            self.name
+        );
         let needs_reexec = self.rle.is_some()
             || matches!(
                 self.lsq,

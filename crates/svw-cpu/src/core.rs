@@ -1,6 +1,6 @@
 //! The cycle-level pipeline model.
 //!
-//! All growable machine state (ROB ring, rename slab, wake slab and ready set,
+//! All growable machine state (ROB ring, wake slab and ready set, event wheels,
 //! queues, predictor and cache tables, SSBF, …) lives in a [`Pipeline`] owned by a
 //! [`SimArena`]. A sweep worker keeps one arena and calls [`Cpu::recycle`] per cell:
 //! the pipeline is cleared *in place* with every heap allocation retained, so cell
@@ -11,9 +11,13 @@
 //! which provably nothing can happen, jumping straight to the next pending event.
 //! Both are exact: every cycle count matches stepping the machine cycle by cycle.
 //! [`Cpu::new`] remains the one-shot entry point (it boxes a private pipeline).
+//!
+//! Per-instruction bookkeeping is O(1): a squash undoes renaming from the ROB
+//! entries it pops, each memory instruction finds its LQ/SQ entry (and bounds its
+//! searches to older entries) by allocation ordinal, a load asks whether its cache
+//! bank is free before any forwarding work, and completions wait on a timing wheel.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use svw_core::{SsbfUpdate, Ssn, SvwConfig, SvwFilter, SvwUpdatePolicy, VulnWindow};
@@ -21,7 +25,7 @@ use svw_isa::{
     Addr, ArchReg, DynInst, InstSeq, InstStream, MemWidth, OpClass, Pc, Program, Value,
     NUM_ARCH_REGS,
 };
-use svw_lsq::{ForwardResult, ForwardingBuffer, Fsq, LoadQueue, StoreQueue};
+use svw_lsq::{ForwardMemo, ForwardResult, ForwardingBuffer, Fsq, LoadQueue, StoreQueue};
 use svw_mem::{AccessKind, BankedPorts, CommittedMemory, MemoryHierarchy, SharedPort};
 use svw_predictors::{Btb, HybridPredictor, Spct, SteeringPredictor, StoreSets};
 use svw_rle::{IntegrationTable, ItEntry, ItSignature, RleKind};
@@ -29,6 +33,7 @@ use svw_rle::{IntegrationTable, ItEntry, ItSignature, RleKind};
 use crate::observe::{CommitObserver, CommitRecord, FwdOrigin};
 use crate::rob::{HasSeq, RobRing};
 use crate::wakeup::{ReadySet, WakeLists, NO_NODE};
+use crate::wheel::TimingWheel;
 use crate::{CpuStats, LsqOrganization, MachineConfig, ReexecMode};
 
 /// Re-execution state of a marked load.
@@ -63,7 +68,19 @@ struct RobEntry {
     epoch: u32,
     /// Head of this entry's consumer chain in the wake slab.
     consumers: u32,
-    has_dst: bool,
+    /// Destination register, and the rename binding it replaced: a squash restores
+    /// it, popping entries youngest first.
+    dst: Option<ArchReg>,
+    prev_binding: RegBinding,
+    /// A load's LQ or a store's SQ allocation ordinal.
+    lsq_ord: u64,
+    /// The other queue's next ordinal at dispatch. For a load, the SQ entries below
+    /// it are the older stores; for a store, the LQ entries from it up are the
+    /// younger loads.
+    peer_ord: u64,
+    /// A store's FSQ ordinal (`None` when the FSQ did not take it); for a load, the
+    /// FSQ's next ordinal at dispatch, which bounds its search to older stores.
+    fsq_ord: Option<u64>,
     issued: bool,
     completed: bool,
     complete_cycle: u64,
@@ -75,7 +92,13 @@ struct RobEntry {
     marked: bool,
     window: VulnWindow,
     ssn: Option<Ssn>,
-    used_fsq: bool,
+    /// Whether this load searches the FSQ rather than the forwarding buffer (SSQ
+    /// only; never for an eliminated load). Fixed at dispatch: the steering
+    /// predictor only learns when a re-execution failure squashes every in-flight
+    /// instruction.
+    fsq_steered: bool,
+    /// The load's last forwarding-buffer outcome, reused while its bank is unchanged.
+    fwd_memo: ForwardMemo,
     fwd: FwdOrigin,
     eliminated: Option<RleKind>,
     elim_squash: bool,
@@ -94,70 +117,33 @@ impl HasSeq for RobEntry {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct RegBinding {
     producer: Option<InstSeq>,
     version: u64,
 }
 
-/// One saved rename binding in the history slab, linked towards older bindings of
-/// the same architectural register.
-#[derive(Clone, Copy, Debug)]
-struct HistNode {
-    producer: InstSeq,
-    saved: RegBinding,
-    /// Slab index of the next-older binding of the same register, or [`NO_NODE`].
-    prev: u32,
-}
-
 /// The register rename state: per architectural register, the current producer and a
 /// monotonically increasing version number (the "physical register" identity used by
-/// register integration), plus enough history to roll back across flushes.
-///
-/// History is a single slab of [`HistNode`]s shared by every register, each register
-/// holding the head of its own linked chain (youngest first). Freed nodes go on a
-/// free list, so in steady state `bind` and `rollback` recycle slab slots and never
-/// allocate; across [`RenameMap::reset`] the slab's capacity is retained too.
+/// register integration). It keeps no history: each ROB entry holds the binding its
+/// destination replaced, and a squash restores those youngest first.
 #[derive(Clone, Debug)]
 struct RenameMap {
     current: Vec<RegBinding>,
-    /// Per-register head of the history chain ([`NO_NODE`] = empty).
-    heads: Vec<u32>,
-    /// Per-register chain length.
-    counts: Vec<u32>,
-    /// Per-register chain length at which the next trim walk triggers.
-    next_trim: Vec<u32>,
-    slab: Vec<HistNode>,
-    free: Vec<u32>,
     next_version: u64,
 }
 
 impl RenameMap {
-    /// Chain length that arms the first trim attempt for a register.
-    const TRIM_THRESHOLD: u32 = 1024;
-
     fn new() -> Self {
-        RenameMap {
-            current: Self::initial_bindings(),
-            heads: vec![NO_NODE; NUM_ARCH_REGS],
-            counts: vec![0; NUM_ARCH_REGS],
-            next_trim: vec![Self::TRIM_THRESHOLD; NUM_ARCH_REGS],
-            slab: Vec::new(),
-            free: Vec::new(),
-            next_version: NUM_ARCH_REGS as u64,
-        }
+        let mut map = RenameMap {
+            current: vec![RegBinding::default(); NUM_ARCH_REGS],
+            next_version: 0,
+        };
+        map.reset();
+        map
     }
 
-    fn initial_bindings() -> Vec<RegBinding> {
-        (0..NUM_ARCH_REGS)
-            .map(|i| RegBinding {
-                producer: None,
-                version: i as u64,
-            })
-            .collect()
-    }
-
-    /// Restores the initial rename state, retaining the slab's capacity.
+    /// Restores the initial rename state.
     fn reset(&mut self) {
         for (i, b) in self.current.iter_mut().enumerate() {
             *b = RegBinding {
@@ -165,11 +151,6 @@ impl RenameMap {
                 version: i as u64,
             };
         }
-        self.heads.fill(NO_NODE);
-        self.counts.fill(0);
-        self.next_trim.fill(Self::TRIM_THRESHOLD);
-        self.slab.clear();
-        self.free.clear();
         self.next_version = NUM_ARCH_REGS as u64;
     }
 
@@ -181,95 +162,20 @@ impl RenameMap {
         self.current[r.index()].version
     }
 
-    /// History chain length of `r` (test instrumentation).
-    #[cfg(test)]
-    fn history_len(&self, r: ArchReg) -> usize {
-        self.counts[r.index()] as usize
-    }
-
-    /// Binds `r` to `producer`. `oldest_inflight` is the sequence number of the
-    /// oldest instruction still in the ROB (or `producer` itself when the ROB is
-    /// empty): every flush target is at least that old, so history entries made by
-    /// earlier producers can never be restored by [`RenameMap::rollback`] and are safe
-    /// to trim. Trimming a fixed "ancient half" instead would discard bindings still
-    /// live for in-flight producers under large-ROB configurations and corrupt
-    /// rollback.
-    fn bind(&mut self, r: ArchReg, producer: InstSeq, oldest_inflight: InstSeq) {
-        let idx = r.index();
-        let node = HistNode {
-            producer,
-            saved: self.current[idx],
-            prev: self.heads[idx],
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slab[s as usize] = node;
-                s
-            }
-            None => {
-                let s = self.slab.len() as u32;
-                self.slab.push(node);
-                s
-            }
-        };
-        self.heads[idx] = slot;
-        self.counts[idx] += 1;
-        if self.counts[idx] >= self.next_trim[idx] {
-            self.trim(idx, oldest_inflight);
-        }
-        self.current[idx] = RegBinding {
+    /// Binds `r` to `producer` under a fresh version and returns the binding it
+    /// replaced.
+    fn bind(&mut self, r: ArchReg, producer: InstSeq) -> RegBinding {
+        let fresh = RegBinding {
             producer: Some(producer),
             version: self.next_version,
         };
         self.next_version += 1;
+        std::mem::replace(&mut self.current[r.index()], fresh)
     }
 
-    /// Frees every history node of register `idx` made by a producer older than
-    /// `oldest_inflight` (the dead suffix of the chain — producers are bound in
-    /// increasing sequence order, so dead nodes are exactly the oldest ones). The
-    /// walk costs O(live chain), so the re-arm threshold backs off with the surviving
-    /// length, keeping the amortized cost per `bind` constant.
-    fn trim(&mut self, idx: usize, oldest_inflight: InstSeq) {
-        let mut prev_live = NO_NODE;
-        let mut cur = self.heads[idx];
-        let mut live = 0u32;
-        while cur != NO_NODE && self.slab[cur as usize].producer >= oldest_inflight {
-            prev_live = cur;
-            cur = self.slab[cur as usize].prev;
-            live += 1;
-        }
-        if cur != NO_NODE {
-            // Detach and free the dead suffix.
-            if prev_live == NO_NODE {
-                self.heads[idx] = NO_NODE;
-            } else {
-                self.slab[prev_live as usize].prev = NO_NODE;
-            }
-            while cur != NO_NODE {
-                self.free.push(cur);
-                cur = self.slab[cur as usize].prev;
-            }
-            self.counts[idx] = live;
-        }
-        self.next_trim[idx] = self.counts[idx] + Self::TRIM_THRESHOLD.max(self.counts[idx]);
-    }
-
-    /// Rolls back every binding made by instructions with `seq >= flush_seq`.
-    fn rollback(&mut self, flush_seq: InstSeq) {
-        for idx in 0..NUM_ARCH_REGS {
-            let mut head = self.heads[idx];
-            while head != NO_NODE {
-                let node = self.slab[head as usize];
-                if node.producer < flush_seq {
-                    break;
-                }
-                self.current[idx] = node.saved;
-                self.free.push(head);
-                head = node.prev;
-                self.counts[idx] -= 1;
-            }
-            self.heads[idx] = head;
-        }
+    /// Undoes a squashed producer's [`RenameMap::bind`] of `r`.
+    fn restore(&mut self, r: ArchReg, prev: RegBinding) {
+        self.current[r.index()] = prev;
     }
 }
 
@@ -381,8 +287,19 @@ fn effective_svw_config(config: &MachineConfig) -> SvwConfig {
     })
 }
 
+/// The furthest ahead any event can be scheduled: a load that misses to memory
+/// (plus the slow-SQ surcharge), the longest operation (FP), or an RLE
+/// re-execution's memory access plus its 2-cycle register read. The wheels'
+/// `debug_assert`s check every event against it.
+fn event_horizon(config: &MachineConfig) -> u64 {
+    let h = &config.hierarchy;
+    let memory = h.l1d.hit_latency + h.l2.hit_latency + h.memory_latency;
+    let load = memory + config.lsq.extra_load_latency();
+    (config.issue_to_execute + load.max(OpClass::FpAlu.exec_latency())).max(memory + 2)
+}
+
 /// Every piece of mutable machine state — substrates, queues, the ROB ring, the
-/// rename slab, and the per-run scalars. Owned by a [`SimArena`] (recycled across
+/// event wheels, and the per-run scalars. Owned by a [`SimArena`] (recycled across
 /// cells) or privately by a one-shot [`Cpu`].
 struct Pipeline {
     // Substrates.
@@ -418,14 +335,13 @@ struct Pipeline {
     now: u64,
     stats: CpuStats,
 
-    // Completion event queues: instead of scanning the whole ROB every cycle for
-    // entries whose latency has elapsed, `complete` pops exactly the due events.
-    // Events are `(cycle, seq)` min-ordered, so same-cycle completions fire in age
-    // order — identical to the scan they replace. Events stranded by a squash are
-    // detected (the entry's state no longer matches) and dropped on pop.
-    exec_events: BinaryHeap<Reverse<(u64, InstSeq)>>,
+    // Completion events: instead of scanning the whole ROB every cycle for entries
+    // whose latency has elapsed, `complete` takes exactly the events due now. Events
+    // stranded by a squash are detected (the entry's state no longer matches) and
+    // dropped when due.
+    exec_events: TimingWheel,
     /// Pending re-execution cache-access completions, same discipline.
-    rex_events: BinaryHeap<Reverse<(u64, InstSeq)>>,
+    rex_events: TimingWheel,
 
     // Wakeup-driven issue: completion walks the producer's consumer chain, and
     // issue selects only from the ready set.
@@ -476,8 +392,8 @@ impl Pipeline {
             rex_inflight: 0,
             now: 0,
             stats: CpuStats::default(),
-            exec_events: BinaryHeap::new(),
-            rex_events: BinaryHeap::new(),
+            exec_events: TimingWheel::new(event_horizon(config)),
+            rex_events: TimingWheel::new(event_horizon(config)),
             wake: WakeLists::new(),
             ready: ReadySet::new(config.rob_size),
             flush_epoch: 0,
@@ -545,8 +461,8 @@ impl Pipeline {
         self.rex_inflight = 0;
         self.now = 0;
         self.stats = CpuStats::default();
-        self.exec_events.clear();
-        self.rex_events.clear();
+        self.exec_events.reset(event_horizon(config));
+        self.rex_events.reset(event_horizon(config));
         self.wake.reset();
         self.ready.reset(config.rob_size);
         self.flush_epoch = 0;
@@ -627,6 +543,30 @@ impl Pipeline {
         assert_eq!(ready, self.ready.len(), "ready set holds only ROB entries");
     }
 
+    /// Asserts that the rename map binds every register to its youngest in-flight
+    /// writer, and a register no in-flight entry writes to a committed producer (or
+    /// none) — what the squashed entries' restored bindings must leave behind.
+    #[cfg(test)]
+    fn assert_rename_matches_rob(&self) {
+        let mut youngest: [Option<InstSeq>; NUM_ARCH_REGS] = [None; NUM_ARCH_REGS];
+        for e in self.rob.iter() {
+            if let Some(r) = e.dst {
+                youngest[r.index()] = Some(e.seq);
+            }
+        }
+        let head = self.rob.front().map_or(InstSeq::MAX, |e| e.seq);
+        for (i, writer) in youngest.into_iter().enumerate() {
+            let bound = self.rename.current[i].producer;
+            match writer {
+                Some(seq) => assert_eq!(bound, Some(seq), "r{i} is bound to its youngest writer"),
+                None => assert!(
+                    bound.is_none_or(|p| p < head),
+                    "r{i} is bound to {bound:?}, which is neither committed nor in flight"
+                ),
+            }
+        }
+    }
+
     // ------------------------------------------------------------ idle cycles
 
     /// If the machine provably cannot make progress at `now` nor at any later cycle
@@ -644,7 +584,7 @@ impl Pipeline {
         let now = self.now;
         let mut next = [&self.exec_events, &self.rex_events]
             .into_iter()
-            .filter_map(|h| h.peek().map(|&Reverse((cycle, _))| cycle))
+            .filter_map(|w| w.next_cycle(now))
             .min()
             .unwrap_or(u64::MAX);
         if next <= now {
@@ -744,10 +684,10 @@ impl Pipeline {
             }
             // Copy the scalar fields commit needs; the entry itself stays in place (a
             // full `RobEntry` clone here dominated the commit path).
-            let (seq, pc, cls, has_dst) = (head.seq, head.pc, head.cls, head.has_dst);
+            let (seq, pc, cls, has_dst) = (head.seq, head.pc, head.cls, head.dst.is_some());
             let (addr, width, exec_value, oracle_value) =
                 (head.addr, head.width, head.exec_value, head.oracle_value);
-            let (marked, ssn, used_fsq) = (head.marked, head.ssn, head.used_fsq);
+            let (marked, ssn, used_fsq) = (head.marked, head.ssn, head.fsq_steered);
             let (fwd, window) = (head.fwd, head.window);
             let (eliminated, elim_squash, elim_signature) =
                 (head.eliminated, head.elim_squash, head.elim_signature);
@@ -1106,7 +1046,7 @@ impl Pipeline {
                     let e = self.rob.get_mut(seq).expect("entry is in the ROB");
                     e.rex = RexState::InFlight(done);
                     e.rex_used_cache = true;
-                    self.rex_events.push(Reverse((done, seq)));
+                    self.rex_events.push(self.now, done, seq);
                     self.rex_inflight += 1;
                     mem_ops_processed += 1;
                     self.rex_next_seq += 1;
@@ -1127,30 +1067,28 @@ impl Pipeline {
         // squashed and re-issued with a different latency) no longer matches the
         // entry's recorded state and is dropped.
         let now = self.now;
-        let mut unblock_branch: Option<InstSeq> = None;
-        while let Some(&Reverse((cycle, seq))) = self.exec_events.peek() {
-            if cycle > now {
-                break;
-            }
-            self.exec_events.pop();
+        let mut unblock_branch = false;
+        let due = self.exec_events.take_due(now);
+        for &seq in &due {
             if let Some(e) = self.rob.get_mut(seq) {
-                if e.issued && !e.completed && e.complete_cycle == cycle {
+                if e.issued && !e.completed && e.complete_cycle == now {
                     e.completed = true;
-                    if e.cls == OpClass::Branch && e.mispredicted {
-                        unblock_branch = Some(e.seq);
+                    if e.cls == OpClass::Branch
+                        && e.mispredicted
+                        && self.fetch_blocked_on_branch == Some(seq)
+                    {
+                        unblock_branch = true;
                     }
                     let head = std::mem::replace(&mut e.consumers, NO_NODE);
                     self.wake_consumers(head);
                 }
             }
         }
-        while let Some(&Reverse((cycle, seq))) = self.rex_events.peek() {
-            if cycle > now {
-                break;
-            }
-            self.rex_events.pop();
+        self.exec_events.give_back(now, due);
+        let due = self.rex_events.take_due(now);
+        for &seq in &due {
             if let Some(e) = self.rob.get_mut(seq) {
-                if e.rex == RexState::InFlight(cycle) {
+                if e.rex == RexState::InFlight(now) {
                     e.rex = if e.exec_value == e.oracle_value {
                         RexState::Done
                     } else {
@@ -1160,11 +1098,10 @@ impl Pipeline {
                 }
             }
         }
-        if let Some(seq) = unblock_branch {
-            if self.fetch_blocked_on_branch == Some(seq) {
-                self.fetch_blocked_on_branch = None;
-                self.fetch_stall_until = self.fetch_stall_until.max(now + config.frontend_depth);
-            }
+        self.rex_events.give_back(now, due);
+        if unblock_branch {
+            self.fetch_blocked_on_branch = None;
+            self.fetch_stall_until = self.fetch_stall_until.max(now + config.frontend_depth);
         }
     }
 
@@ -1223,10 +1160,15 @@ impl Pipeline {
             {
                 break;
             }
-            let (cls, pc, wait_store) = {
+            let (cls, wait_store, uses_fsq) = {
                 let e = self.rob.get(seq).expect("ready entries are in the ROB");
                 debug_assert!(!e.issued && e.pending_srcs == 0);
-                (e.cls, e.pc, e.wait_store)
+                debug_assert_eq!(
+                    e.fsq_steered,
+                    e.cls == OpClass::Load && config.lsq.is_ssq() && self.steering.uses_fsq(e.pc),
+                    "seq {seq}: the FSQ steering fixed at dispatch is still the predictor's"
+                );
+                (e.cls, e.wait_store, e.fsq_steered)
             };
             match cls {
                 OpClass::IntAlu | OpClass::IntMul | OpClass::Nop => {
@@ -1265,13 +1207,16 @@ impl Pipeline {
                         continue;
                     }
                     // Memory dependence predicted by store-sets: wait while the store
-                    // is still in the window with an unresolved address.
+                    // is still in the window with an unresolved address — that is,
+                    // has not issued (issue resolves its SQ entry).
                     if let Some(ws) = wait_store {
-                        if matches!(self.sq.get(ws), Some(e) if e.addr.is_none()) {
-                            continue;
+                        if let Some(store) = self.rob.get(ws) {
+                            debug_assert_eq!(store.cls, OpClass::Store);
+                            if !store.issued {
+                                continue;
+                            }
                         }
                     }
-                    let uses_fsq = config.lsq.is_ssq() && self.steering.uses_fsq(pc);
                     if uses_fsq && fsq_port_used {
                         continue;
                     }
@@ -1299,7 +1244,7 @@ impl Pipeline {
             .expect("issuing an instruction that is in the ROB");
         e.issued = true;
         e.complete_cycle = done;
-        self.exec_events.push(Reverse((done, seq)));
+        self.exec_events.push(self.now, done, seq);
         self.ready.remove(seq);
         self.iq_count -= 1;
     }
@@ -1320,19 +1265,22 @@ impl Pipeline {
         let inst = source.get(seq);
         let acc = *inst.mem_access();
         let pc = inst.pc;
-        self.sq.resolve(seq, acc.addr, acc.width, acc.value);
+        let (sq_ord, younger_loads, fsq_ord, ssn) = {
+            let e = self.rob.get(seq).expect("store is in the ROB");
+            (
+                e.lsq_ord,
+                e.peer_ord,
+                e.fsq_ord,
+                e.ssn.expect("store has an SSN"),
+            )
+        };
+        self.sq.resolve(sq_ord, acc.addr, acc.width, acc.value);
         self.store_sets.store_resolved(pc, seq);
-        if let Some(fsq) = &mut self.fsq {
-            fsq.resolve(seq, acc.addr, acc.width, acc.value);
+        if let (Some(fsq), Some(ord)) = (&mut self.fsq, fsq_ord) {
+            fsq.resolve(ord, acc.addr, acc.width, acc.value);
         }
         if let Some(buf) = &mut self.fwd_buf {
-            let ssn = self
-                .rob
-                .get(seq)
-                .expect("store is in the ROB")
-                .ssn
-                .expect("store has an SSN");
-            buf.record_store(seq, pc, ssn, acc.addr, acc.width, acc.value);
+            buf.record_store(seq, ssn, acc.addr, acc.width, acc.value);
         }
         self.start_execution(seq, config.issue_to_execute + OpClass::Store.exec_latency());
 
@@ -1341,7 +1289,7 @@ impl Pipeline {
         if config.lsq.is_conventional() {
             if let Some(victim) =
                 self.lq
-                    .search_violations(seq, acc.addr, acc.width, Some(acc.value))
+                    .search_violations(younger_loads, acc.addr, acc.width, Some(acc.value))
             {
                 // Train store-sets on the violating pair so the load learns to wait
                 // for this store in the future.
@@ -1362,9 +1310,18 @@ impl Pipeline {
         seq: InstSeq,
         uses_fsq: bool,
     ) -> bool {
-        let inst = source.get(seq);
-        let acc = *inst.mem_access();
+        let acc = *source.get(seq).mem_access();
         let bytes = acc.width;
+        // A load turned away by a busy cache bank does no forwarding work — except
+        // that every attempt counts a forwarding-buffer lookup, so a buffer-path load
+        // still makes one (reusing its outcome while the bank's buffer is unchanged).
+        let bank_free = self.exec_ports.is_free(acc.addr, self.now);
+        let buffer_path = config.lsq.is_ssq() && !uses_fsq;
+        if !bank_free && !buffer_path {
+            return false;
+        }
+        let e = self.rob.get_mut(seq).expect("load is in the ROB");
+        let (lq_ord, older_stores, older_fsq) = (e.lsq_ord, e.peer_ord, e.fsq_ord);
 
         // Determine the value the load observes and where it comes from. A forwarding
         // source is either an in-flight queue entry (whose SSN can only shrink the
@@ -1372,62 +1329,47 @@ impl Pipeline {
         // *bound* the window: the entry may belong to an already-retired store whose
         // value younger retired stores have overwritten). The origin is persisted on
         // the ROB entry for the commit-stream observer.
-        let (exec_value, fwd_source, replay) = if config.lsq.is_ssq() {
-            if uses_fsq {
-                match self
-                    .fsq
-                    .as_mut()
-                    .expect("SSQ configuration has an FSQ")
-                    .search(seq, acc.addr, bytes)
-                {
-                    ForwardResult::Forward { ssn, value, .. } => {
-                        (value, FwdOrigin::Queue(ssn), false)
-                    }
-                    ForwardResult::Conflict { .. } | ForwardResult::None => (
-                        self.committed_mem.read(acc.addr, bytes),
-                        FwdOrigin::Memory,
-                        false,
-                    ),
-                }
-            } else {
-                match self
-                    .fwd_buf
-                    .as_mut()
-                    .expect("SSQ configuration has forwarding buffers")
-                    .lookup(seq, acc.addr, bytes)
-                {
-                    Some((_, _, ssn, value)) => (value, FwdOrigin::Buffer(ssn), false),
-                    None => (
-                        self.committed_mem.read(acc.addr, bytes),
-                        FwdOrigin::Memory,
-                        false,
-                    ),
-                }
+        let forwarded = if buffer_path {
+            let found = self
+                .fwd_buf
+                .as_mut()
+                .expect("SSQ configuration has forwarding buffers")
+                .lookup(seq, acc.addr, bytes, &mut e.fwd_memo);
+            if !bank_free {
+                return false;
+            }
+            found.map(|(ssn, value)| (value, FwdOrigin::Buffer(ssn)))
+        } else if uses_fsq {
+            let bound = older_fsq.expect("an SSQ load records the FSQ's next ordinal");
+            match self
+                .fsq
+                .as_mut()
+                .expect("SSQ configuration has an FSQ")
+                .search(bound, acc.addr, bytes)
+            {
+                ForwardResult::Forward { ssn, value, .. } => Some((value, FwdOrigin::Queue(ssn))),
+                // The FSQ is best effort: a conflict reads memory and is left to
+                // re-execution.
+                ForwardResult::Conflict { .. } | ForwardResult::None => None,
             }
         } else {
-            match self.sq.search_forward(seq, acc.addr, bytes) {
-                ForwardResult::Forward { ssn, value, .. } => (value, FwdOrigin::Queue(ssn), false),
-                ForwardResult::None => (
-                    self.committed_mem.read(acc.addr, bytes),
-                    FwdOrigin::Memory,
-                    false,
-                ),
-                ForwardResult::Conflict { .. } => (0, FwdOrigin::Memory, true),
+            match self.sq.search_forward(older_stores, acc.addr, bytes) {
+                ForwardResult::Forward { ssn, value, .. } => Some((value, FwdOrigin::Queue(ssn))),
+                ForwardResult::None => None,
+                // The youngest older matching store cannot forward yet: retry next cycle.
+                ForwardResult::Conflict { .. } => return false,
             }
         };
-        if replay {
-            // The youngest older matching store cannot forward yet: retry next cycle.
-            return false;
-        }
+        let (exec_value, fwd_source) = forwarded
+            .unwrap_or_else(|| (self.committed_mem.read(acc.addr, bytes), FwdOrigin::Memory));
         // Cache bank structural port (address-interleaved execution ports).
-        if !self.exec_ports.try_use(acc.addr, self.now) {
-            return false;
-        }
+        let claimed = self.exec_ports.try_use(acc.addr, self.now);
+        debug_assert!(claimed, "the bank was free");
 
         // Under NLQ, loads issuing past unresolved older store addresses are marked by
         // the scheduler for re-execution.
         let nlq_marked = matches!(config.lsq, LsqOrganization::Nlq { .. })
-            && self.sq.has_unresolved_older_than(seq);
+            && self.sq.has_unresolved_before(older_stores);
 
         let latency = if matches!(fwd_source, FwdOrigin::Queue(_) | FwdOrigin::Buffer(_)) {
             config.issue_to_execute
@@ -1439,7 +1381,7 @@ impl Pipeline {
                 + config.lsq.extra_load_latency()
         };
 
-        self.lq.resolve(seq, acc.addr, bytes, exec_value);
+        self.lq.resolve(lq_ord, acc.addr, bytes, exec_value);
         let window = self.rob.get(seq).expect("load is in the ROB").window;
         let svw_window = match fwd_source {
             FwdOrigin::Queue(ssn) => self.svw.forward_update(window, ssn),
@@ -1456,15 +1398,9 @@ impl Pipeline {
         let e = self.rob.get_mut(seq).expect("load is in the ROB");
         e.exec_value = Some(exec_value);
         e.window = svw_window;
-        e.used_fsq = uses_fsq;
         e.fwd = fwd_source;
         if nlq_marked {
             e.marked = true;
-        }
-        let marked = e.marked;
-        if let Some(entry) = self.lq.get_mut(seq) {
-            entry.marked = marked;
-            entry.window = svw_window;
         }
         true
     }
@@ -1498,7 +1434,8 @@ impl Pipeline {
             let cls = inst.class();
             let is_load = cls == OpClass::Load;
             let is_store = cls == OpClass::Store;
-            let has_dst = inst.dst().is_some();
+            let dst = inst.dst();
+            let has_dst = dst.is_some();
 
             // Structural resources.
             if self.rob.len() >= config.rob_size
@@ -1529,7 +1466,11 @@ impl Pipeline {
                 pending_srcs: 0,
                 epoch: self.flush_epoch,
                 consumers: NO_NODE,
-                has_dst,
+                dst,
+                prev_binding: RegBinding::default(),
+                lsq_ord: 0,
+                peer_ord: 0,
+                fsq_ord: None,
                 issued: false,
                 completed: false,
                 complete_cycle: u64::MAX,
@@ -1540,7 +1481,8 @@ impl Pipeline {
                 marked: false,
                 window: VulnWindow::FULLY_VULNERABLE,
                 ssn: None,
-                used_fsq: false,
+                fsq_steered: false,
+                fwd_memo: ForwardMemo::default(),
                 fwd: FwdOrigin::Memory,
                 eliminated: None,
                 elim_squash: false,
@@ -1555,6 +1497,7 @@ impl Pipeline {
             // Completion event for entries that dispatch pre-issued (eliminated
             // loads), pushed once the entry is in the ROB.
             let mut exec_event: Option<u64> = None;
+            let ssq = config.lsq.is_ssq();
 
             match cls {
                 OpClass::Branch => {
@@ -1585,7 +1528,7 @@ impl Pipeline {
                     if entry.wait_store.is_some() {
                         self.stats.store_set_squashes += 1;
                     }
-                    if config.lsq.is_ssq() {
+                    if ssq {
                         // The speculative SQ has no natural filter: every load must be
                         // (potentially) re-executed.
                         entry.marked = true;
@@ -1627,19 +1570,20 @@ impl Pipeline {
                             });
                         }
                     }
-                    self.lq.allocate(seq, inst.pc, entry.window);
-                    if let Some(lq_entry) = self.lq.get_mut(seq) {
-                        lq_entry.marked = entry.marked;
-                    }
+                    entry.lsq_ord = self.lq.allocate(seq);
+                    entry.peer_ord = self.sq.next_ord();
+                    entry.fsq_ord = self.fsq.as_ref().map(Fsq::next_ord);
+                    entry.fsq_steered = ssq && enters_iq && self.steering.uses_fsq(inst.pc);
                 }
                 OpClass::Store => {
                     let ssn = self.svw.assign_store_ssn();
                     entry.ssn = Some(ssn);
-                    self.sq.allocate(seq, inst.pc, ssn);
+                    entry.lsq_ord = self.sq.allocate(seq, inst.pc, ssn);
+                    entry.peer_ord = self.lq.next_ord();
                     let _ = self.store_sets.store_renamed(inst.pc, seq);
-                    if config.lsq.is_ssq() && self.steering.uses_fsq(inst.pc) {
+                    if ssq && self.steering.uses_fsq(inst.pc) {
                         if let Some(fsq) = &mut self.fsq {
-                            let _ = fsq.try_allocate(seq, inst.pc, ssn);
+                            entry.fsq_ord = fsq.try_allocate(seq, inst.pc, ssn);
                         }
                     }
                     if let Some(it) = &mut self.it {
@@ -1664,11 +1608,9 @@ impl Pipeline {
                 _ => {}
             }
 
-            // Rename the destination. Rename history is trimmed against the oldest
-            // in-flight sequence number: nothing older can ever be a flush target.
-            if let Some(dst) = inst.dst() {
-                let oldest_inflight = self.rob.front().map_or(seq, |e| e.seq);
-                self.rename.bind(dst, seq, oldest_inflight);
+            // Rename the destination; the entry keeps the binding it replaces.
+            if let Some(dst) = dst {
+                entry.prev_binding = self.rename.bind(dst, seq);
                 self.inflight_dsts += 1;
             }
 
@@ -1693,7 +1635,7 @@ impl Pipeline {
             }
             self.rob.push_back(entry);
             if let Some(done) = exec_event {
-                self.exec_events.push(Reverse((done, seq)));
+                self.exec_events.push(self.now, done, seq);
             }
             self.fetch_index += 1;
             dispatched += 1;
@@ -1710,10 +1652,20 @@ impl Pipeline {
     fn flush_from(&mut self, flush_seq: InstSeq, penalty: u64) {
         while matches!(self.rob.back(), Some(e) if e.seq >= flush_seq) {
             let e = self.rob.back().expect("checked non-empty");
-            let (seq, has_dst, eliminated, issued, rex, consumers) =
-                (e.seq, e.has_dst, e.eliminated, e.issued, e.rex, e.consumers);
+            let (seq, dst, prev_binding, eliminated, issued, rex, consumers) = (
+                e.seq,
+                e.dst,
+                e.prev_binding,
+                e.eliminated,
+                e.issued,
+                e.rex,
+                e.consumers,
+            );
             self.rob.pop_back();
-            if has_dst {
+            // Youngest first, so each register ends at its binding from before the
+            // oldest squashed writer.
+            if let Some(r) = dst {
+                self.rename.restore(r, prev_binding);
                 self.inflight_dsts -= 1;
             }
             if eliminated.is_none() && !issued {
@@ -1743,7 +1695,6 @@ impl Pipeline {
         }
         self.store_sets.flush_inflight();
         self.svw.flush(surviving_ssn);
-        self.rename.rollback(flush_seq);
         self.rex_next_seq = self.rex_next_seq.min(flush_seq);
         self.fetch_index = flush_seq as usize;
         self.fetch_stall_until = self.now + penalty;
@@ -1758,14 +1709,16 @@ impl Pipeline {
                 .count(),
             "the pop loop keeps the in-flight re-execution count exact"
         );
+        #[cfg(test)]
+        self.assert_rename_matches_rob();
     }
 }
 
 /// A reusable simulation arena: owns one pipeline and hands it to successive
 /// [`Cpu::recycle`] calls. The first cell builds the pipeline; every later cell
-/// clears it in place with all heap allocations (ROB ring, rename and wake slabs,
-/// ready set, predictor and cache tables, queues, SSBF) retained, making cell startup a reset instead of
-/// a rebuild and the steady-state loop allocation-free.
+/// clears it in place with all heap allocations (ROB ring, wake slab, ready set, event
+/// wheels, predictor and cache tables, queues, SSBF) retained, making cell startup a
+/// reset instead of a rebuild and the steady-state loop allocation-free.
 ///
 /// Results are byte-identical to fresh [`Cpu::new`] construction — the scheduler
 /// determinism tests compare the two paths across worker counts.
@@ -1785,15 +1738,6 @@ impl SimArena {
     /// report their reset-vs-rebuild counts.
     pub fn is_warm(&self) -> bool {
         self.pipeline.is_some()
-    }
-
-    /// Current length (in entries) of the rename-history slab of the held pipeline,
-    /// or 0 for a cold arena. A recycle clears the slab (capacity retained), so this
-    /// reflects the cell simulated most recently; sweep workers sample it after each
-    /// cell and keep the maximum as their slab high-water mark — a cheap proxy for
-    /// how rename-hungry the worker's share of the matrix was.
-    pub fn rename_slab_len(&self) -> usize {
-        self.pipeline.as_ref().map_or(0, |p| p.rename.slab.len())
     }
 }
 
@@ -2150,72 +2094,34 @@ mod tests {
         assert!(stats.wrap_drains > 0);
     }
 
-    /// Regression test for the rename-history trimming bug: the old code dropped the
-    /// "ancient half" of a register's history once it exceeded a threshold, which
-    /// discarded bindings still live for in-flight producers (any producer at or above
-    /// the oldest in-flight sequence number can still be a flush target) and corrupted
-    /// `rollback` under large-ROB configurations. The slab implementation must keep
-    /// the same guarantees: live bindings are never trimmed, and the chain stays
-    /// bounded when the in-flight window advances.
+    /// A squash undoes renaming from the ROB: restoring the bindings the squashed
+    /// writers replaced, youngest first, leaves the register bound exactly as before
+    /// the oldest squashed writer, however deep the window — and versions keep
+    /// counting up, so no physical identity is handed out twice.
     #[test]
-    fn rename_history_trim_never_discards_inflight_bindings() {
+    fn rename_undo_restores_the_binding_before_the_oldest_squashed_writer() {
         let r = svw_isa::ArchReg::new(3);
-
-        // Scenario 1: a very large window — every producer stays in flight (the
-        // oldest in-flight seq never advances). Rolling back to a very old producer
-        // must still restore the exact binding, no matter how deep the history grew.
         let mut rm = RenameMap::new();
-        for producer in 0..2_000u64 {
-            rm.bind(r, producer, 0);
+        let replaced: Vec<RegBinding> = (0..2_000u64).map(|p| rm.bind(r, p)).collect();
+        for prev in replaced[10..].iter().rev() {
+            rm.restore(r, *prev);
         }
-        rm.rollback(10);
-        assert_eq!(
-            rm.producer(r),
-            Some(9),
-            "rollback must restore the binding made by producer 9"
-        );
-
-        // Scenario 2: the window advances normally — trimming must still bound the
-        // history, and rollback within the live window must stay exact.
-        let mut rm = RenameMap::new();
-        for producer in 0..50_000u64 {
-            rm.bind(r, producer, producer.saturating_sub(100));
-        }
-        assert!(
-            rm.history_len(r) <= 2_200,
-            "history must stay bounded when the in-flight window advances (len {})",
-            rm.history_len(r)
-        );
-        rm.rollback(49_950);
-        assert_eq!(rm.producer(r), Some(49_949));
-    }
-
-    /// The slab's free list must actually recycle nodes: after rollback or trimming,
-    /// new binds reuse freed slots instead of growing the slab.
-    #[test]
-    fn rename_slab_reuses_freed_nodes() {
-        let r = svw_isa::ArchReg::new(5);
-        let mut rm = RenameMap::new();
-        for producer in 0..100u64 {
-            rm.bind(r, producer, producer);
-        }
-        let high_water = rm.slab.len();
-        rm.rollback(0); // frees all 100 nodes
-        for producer in 0..100u64 {
-            rm.bind(r, producer, producer);
-        }
-        assert_eq!(
-            rm.slab.len(),
-            high_water,
-            "rebinding after rollback must reuse freed slab nodes, not allocate"
-        );
+        assert_eq!(rm.producer(r), Some(9));
+        assert_eq!(rm.current[r.index()], replaced[10]);
+        rm.bind(r, 10);
+        assert_eq!(rm.version(r), NUM_ARCH_REGS as u64 + 2_000);
     }
 
     /// Every run in a test build checks the ready set against the old select scan's
-    /// predicate at each issue stage, and that the wake slab ends empty. This drives
-    /// each squash and bypass path through those checks: conventional-LQ ordering
-    /// flushes, re-execution-failure flushes, branch mispredictions, RLE-eliminated
-    /// loads, and SSN wrap-around drains, plus a ROB whose size is not a power of two.
+    /// predicate at each issue stage, that the wake slab ends empty, and after every
+    /// flush that the rename map binds each register to its youngest surviving
+    /// writer; SSQ runs also check that each ready load's dispatch-time FSQ steering
+    /// is still the predictor's, and that every reused forwarding-buffer outcome
+    /// equals a fresh lookup. This drives each squash and bypass path through those
+    /// checks: conventional-LQ ordering flushes, re-execution-failure flushes (under
+    /// SSQ also retraining the steering predictor), branch mispredictions,
+    /// RLE-eliminated loads, and SSN wrap-around drains, plus a ROB whose size is not
+    /// a power of two.
     #[test]
     fn ready_set_matches_the_scan_through_every_squash_path() {
         let programs = [
@@ -2247,6 +2153,18 @@ mod tests {
                 |s| s.reexec_flushes,
             ),
             (odd_rob, |s| s.reexec_flushes),
+            (
+                MachineConfig::eight_wide(
+                    "ssq-svw",
+                    LsqOrganization::Ssq {
+                        fsq_entries: 16,
+                        fwd_buffer_entries: 8,
+                        store_exec_bandwidth: 2,
+                    },
+                    ReexecMode::Svw(SvwConfig::paper_default()),
+                ),
+                |s| s.reexec_flushes.min(s.reexecuted_fsq_loads),
+            ),
             (
                 MachineConfig::eight_wide("nlq-narrow-ssn", nlq, ReexecMode::Svw(narrow)),
                 |s| s.wrap_drains,

@@ -43,6 +43,7 @@ mod observe;
 mod rob;
 mod stats;
 mod wakeup;
+mod wheel;
 
 pub use config::{LsqOrganization, MachineConfig, ReexecMode};
 pub use core::{Cpu, SimArena};

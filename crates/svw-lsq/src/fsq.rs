@@ -15,7 +15,7 @@ use svw_isa::{Addr, InstSeq, MemWidth, Pc};
 use crate::{ForwardResult, StoreQueue};
 
 /// The forwarding store queue: a small associative store queue with best-effort
-/// allocation.
+/// allocation. Entries are addressed by allocation ordinal, as in [`StoreQueue`].
 #[derive(Clone, Debug)]
 pub struct Fsq {
     queue: StoreQueue,
@@ -62,30 +62,33 @@ impl Fsq {
         self.queue.searches()
     }
 
-    /// Attempts to allocate an entry for a steered store. Returns `true` on success;
-    /// on failure (FSQ full) the store simply does not enter and any loads that needed
-    /// it will mis-forward and be caught by re-execution.
-    pub fn try_allocate(&mut self, seq: InstSeq, pc: Pc, ssn: Ssn) -> bool {
+    /// Attempts to allocate an entry for a steered store. Returns its ordinal on
+    /// success; on failure (FSQ full) the store simply does not enter and any loads
+    /// that needed it will mis-forward and be caught by re-execution.
+    pub fn try_allocate(&mut self, seq: InstSeq, pc: Pc, ssn: Ssn) -> Option<u64> {
         if self.queue.has_space() {
-            self.queue.allocate(seq, pc, ssn);
-            true
+            Some(self.queue.allocate(seq, pc, ssn))
         } else {
             self.rejected_allocations += 1;
-            false
+            None
         }
     }
 
-    /// Records the address/data of a previously allocated store (no-op if the store
-    /// was rejected at allocation).
-    pub fn resolve(&mut self, seq: InstSeq, addr: Addr, width: MemWidth, value: u64) {
-        if self.queue.get(seq).is_some() {
-            self.queue.resolve(seq, addr, width, value);
-        }
+    /// The ordinal the next allocation will get; a load records it at dispatch to
+    /// bound its search to older stores.
+    pub fn next_ord(&self) -> u64 {
+        self.queue.next_ord()
     }
 
-    /// Searches the FSQ on behalf of a steered load.
-    pub fn search(&mut self, load_seq: InstSeq, addr: Addr, width: MemWidth) -> ForwardResult {
-        self.queue.search_forward(load_seq, addr, width)
+    /// Records the address/data of the store allocated as `ord`.
+    pub fn resolve(&mut self, ord: u64, addr: Addr, width: MemWidth, value: u64) {
+        self.queue.resolve(ord, addr, width, value);
+    }
+
+    /// Searches the FSQ on behalf of a steered load whose [`Fsq::next_ord`] at
+    /// dispatch was `bound`.
+    pub fn search(&mut self, bound: u64, addr: Addr, width: MemWidth) -> ForwardResult {
+        self.queue.search_forward(bound, addr, width)
     }
 
     /// Removes the store with sequence number `seq` when it commits (no-op if it was
@@ -109,9 +112,9 @@ mod tests {
     #[test]
     fn allocation_is_best_effort() {
         let mut fsq = Fsq::new(2);
-        assert!(fsq.try_allocate(1, 0x100, Ssn::new(1)));
-        assert!(fsq.try_allocate(3, 0x108, Ssn::new(2)));
-        assert!(!fsq.try_allocate(5, 0x110, Ssn::new(3)));
+        assert_eq!(fsq.try_allocate(1, 0x100, Ssn::new(1)), Some(0));
+        assert_eq!(fsq.try_allocate(3, 0x108, Ssn::new(2)), Some(1));
+        assert_eq!(fsq.try_allocate(5, 0x110, Ssn::new(3)), None);
         assert_eq!(fsq.rejected_allocations(), 1);
         assert_eq!(fsq.len(), 2);
     }
@@ -119,9 +122,9 @@ mod tests {
     #[test]
     fn forwarding_through_fsq() {
         let mut fsq = Fsq::new(Fsq::PAPER_ENTRIES);
-        fsq.try_allocate(1, 0x100, Ssn::new(1));
-        fsq.resolve(1, 0x9000, MemWidth::W8, 0x77);
-        match fsq.search(2, 0x9000, MemWidth::W8) {
+        let ord = fsq.try_allocate(1, 0x100, Ssn::new(1)).unwrap();
+        fsq.resolve(ord, 0x9000, MemWidth::W8, 0x77);
+        match fsq.search(fsq.next_ord(), 0x9000, MemWidth::W8) {
             ForwardResult::Forward { value, seq, .. } => {
                 assert_eq!(value, 0x77);
                 assert_eq!(seq, 1);
@@ -135,8 +138,8 @@ mod tests {
     fn resolve_and_release_of_rejected_store_are_noops() {
         let mut fsq = Fsq::new(1);
         fsq.try_allocate(1, 0x100, Ssn::new(1));
-        assert!(!fsq.try_allocate(3, 0x108, Ssn::new(2)));
-        fsq.resolve(3, 0xA000, MemWidth::W8, 1); // rejected: ignored
+        // A rejected store gets no ordinal, so there is nothing to resolve.
+        assert_eq!(fsq.try_allocate(3, 0x108, Ssn::new(2)), None);
         fsq.release(3); // rejected: ignored
         assert_eq!(fsq.len(), 1);
         fsq.release(1);

@@ -26,7 +26,7 @@ mod fsq;
 mod load_queue;
 mod store_queue;
 
-pub use forwarding_buffer::ForwardingBuffer;
+pub use forwarding_buffer::{ForwardMemo, ForwardingBuffer};
 pub use fsq::Fsq;
 pub use load_queue::{LoadEntry, LoadQueue};
 pub use store_queue::{ForwardResult, StoreEntry, StoreQueue};

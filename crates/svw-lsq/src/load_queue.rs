@@ -2,16 +2,13 @@
 
 use std::collections::VecDeque;
 
-use svw_core::VulnWindow;
-use svw_isa::{Addr, InstSeq, MemWidth, Pc, Value};
+use svw_isa::{Addr, InstSeq, MemWidth, Value};
 
 /// One in-flight load.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoadEntry {
     /// Dynamic sequence number.
     pub seq: InstSeq,
-    /// Static PC.
-    pub pc: Pc,
     /// Effective address, once the load has executed (eliminated loads keep `None`).
     pub addr: Option<Addr>,
     /// Access width.
@@ -19,10 +16,6 @@ pub struct LoadEntry {
     /// The value the load obtained when it executed (possibly wrong — that is the
     /// point of re-execution).
     pub value: Option<Value>,
-    /// Whether some active optimization marked this load for re-execution.
-    pub marked: bool,
-    /// The load's store vulnerability window.
-    pub window: VulnWindow,
 }
 
 impl LoadEntry {
@@ -42,12 +35,18 @@ impl LoadEntry {
 ///
 /// The conventional unit uses [`LoadQueue::search_violations`] (the associative port
 /// that stores use to find prematurely issued younger loads). The NLQ removes that
-/// port; the structure is then only a holding area for addresses/values/windows used
-/// by the re-execution pipeline.
+/// port; the structure is then only a holding area for executed addresses/values.
+///
+/// Every allocation gets an *ordinal*: ordinals are dense over the entries in the
+/// queue (the oldest entry holds `head_ord`, the next `head_ord + 1`, …), so an
+/// entry is found by its ordinal in O(1). A flush frees the youngest ordinals and
+/// the next allocations reuse them, exactly as the ROB reuses sequence numbers.
 #[derive(Clone, Debug)]
 pub struct LoadQueue {
     capacity: usize,
     entries: VecDeque<LoadEntry>,
+    /// Ordinal of `entries[0]`.
+    head_ord: u64,
     searches: u64,
 }
 
@@ -62,6 +61,7 @@ impl LoadQueue {
         LoadQueue {
             capacity,
             entries: VecDeque::with_capacity(capacity),
+            head_ord: 0,
             searches: 0,
         }
     }
@@ -76,6 +76,7 @@ impl LoadQueue {
         assert!(capacity > 0, "load queue capacity must be non-zero");
         self.capacity = capacity;
         self.entries.clear();
+        self.head_ord = 0;
         self.searches = 0;
     }
 
@@ -104,84 +105,71 @@ impl LoadQueue {
         self.searches
     }
 
-    /// Allocates a load at the tail (rename order) with its dispatch-time window.
+    /// Allocates a load at the tail (rename order) and returns its ordinal.
     ///
     /// # Panics
     ///
     /// Panics if the queue is full or allocation is out of program order.
-    pub fn allocate(&mut self, seq: InstSeq, pc: Pc, window: VulnWindow) {
+    pub fn allocate(&mut self, seq: InstSeq) -> u64 {
         assert!(self.has_space(), "load queue overflow");
         if let Some(tail) = self.entries.back() {
             assert!(seq > tail.seq, "loads must be allocated in program order");
         }
         self.entries.push_back(LoadEntry {
             seq,
-            pc,
             addr: None,
             width: None,
             value: None,
-            marked: false,
-            window,
         });
+        self.head_ord + self.entries.len() as u64 - 1
     }
 
-    /// Index of the entry with sequence number `seq`, located by binary search
-    /// (entries are age-ordered and sequence numbers increase with age order).
-    #[inline]
-    fn index_of(&self, seq: InstSeq) -> Option<usize> {
-        let i = self.entries.partition_point(|e| e.seq < seq);
-        (i < self.entries.len() && self.entries[i].seq == seq).then_some(i)
-    }
-
-    /// Mutable access to the entry for `seq`.
-    pub fn get_mut(&mut self, seq: InstSeq) -> Option<&mut LoadEntry> {
-        self.index_of(seq).map(|i| &mut self.entries[i])
-    }
-
-    /// Shared access to the entry for `seq`.
-    pub fn get(&self, seq: InstSeq) -> Option<&LoadEntry> {
-        self.index_of(seq).map(|i| &self.entries[i])
-    }
-
-    /// Records the executed address/value of a load.
+    /// Records the executed address/value of the load allocated as `ord`.
     ///
     /// # Panics
     ///
-    /// Panics if the load is not in the queue.
-    pub fn resolve(&mut self, seq: InstSeq, addr: Addr, width: MemWidth, value: Value) {
-        let e = self
-            .get_mut(seq)
+    /// Panics if no load with that ordinal is in the queue.
+    pub fn resolve(&mut self, ord: u64, addr: Addr, width: MemWidth, value: Value) {
+        let e = ord
+            .checked_sub(self.head_ord)
+            .and_then(|i| self.entries.get_mut(i as usize))
             .expect("resolving a load that is not in the load queue");
         e.addr = Some(addr);
         e.width = Some(width);
         e.value = Some(value);
     }
 
+    /// The ordinal the next allocation will get. A store records it at dispatch:
+    /// the loads younger than the store are exactly those with ordinals from it up.
+    pub fn next_ord(&self) -> u64 {
+        self.head_ord + self.entries.len() as u64
+    }
+
     /// The conventional LQ's associative ordering search: a store that has just
-    /// resolved its address looks for *younger* loads that already executed and read an
-    /// overlapping address. Returns the oldest such load (the flush point). If
-    /// `ignore_silent_value` is `Some(v)`, loads whose obtained value equals `v` are
-    /// skipped (the "ignore ordering violations from silent stores" refinement).
+    /// resolved its address looks for *younger* loads — those with ordinals at or
+    /// above `younger_from`, the store's [`LoadQueue::next_ord`] at dispatch — that
+    /// already executed and read an overlapping address. Returns the oldest such load
+    /// (the flush point). If `ignore_silent_value` is `Some(v)`, loads whose obtained
+    /// value equals `v` are skipped (the "ignore ordering violations from silent
+    /// stores" refinement).
     pub fn search_violations(
         &mut self,
-        store_seq: InstSeq,
+        younger_from: u64,
         addr: Addr,
         width: MemWidth,
         ignore_silent_value: Option<Value>,
     ) -> Option<InstSeq> {
         self.searches += 1;
-        // Only loads younger than the store can violate; binary-search the
-        // age-ordered queue once instead of filtering older entries one by one.
-        let younger = self.entries.partition_point(|e| e.seq <= store_seq);
+        let start = (younger_from.saturating_sub(self.head_ord) as usize).min(self.entries.len());
+        // Entries are age-ordered, so the first match is the oldest.
         self.entries
-            .range(younger..)
+            .range(start..)
             .filter(|e| e.overlaps(addr, width))
-            .filter(|e| match (ignore_silent_value, e.value) {
+            .find(|e| match (ignore_silent_value, e.value) {
                 (Some(v), Some(got)) => got != v,
                 _ => true,
             })
             .map(|e| e.seq)
-            .min()
     }
 
     /// Removes the oldest load at commit.
@@ -195,6 +183,7 @@ impl LoadQueue {
             .pop_front()
             .expect("committing from an empty load queue");
         assert_eq!(front.seq, seq, "loads must commit in program order");
+        self.head_ord += 1;
         front
     }
 
@@ -227,41 +216,54 @@ mod tests {
     #[test]
     fn allocate_resolve_commit() {
         let mut q = lq();
-        q.allocate(2, 0x100, VulnWindow::default());
-        q.resolve(2, 0x1000, MemWidth::W8, 7);
-        assert_eq!(q.get(2).unwrap().value, Some(7));
+        let ord = q.allocate(2);
+        q.resolve(ord, 0x1000, MemWidth::W8, 7);
         let e = q.pop_commit(2);
-        assert_eq!(e.addr, Some(0x1000));
+        assert_eq!((e.addr, e.value), (Some(0x1000), Some(7)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn ordinals_are_dense_and_reused_after_a_flush() {
+        let mut q = lq();
+        assert_eq!([q.allocate(2), q.allocate(4), q.allocate(6)], [0, 1, 2]);
+        q.pop_commit(2);
+        q.flush_after(Some(4));
+        assert_eq!(q.next_ord(), 2);
+        assert_eq!(q.allocate(5), 2, "the squashed load's ordinal is reused");
+        q.resolve(2, 0x40, MemWidth::W4, 9);
+        q.pop_commit(4);
+        assert_eq!(q.pop_commit(5).value, Some(9));
     }
 
     #[test]
     fn violation_search_finds_oldest_younger_overlapping_load() {
         let mut q = lq();
-        q.allocate(4, 0x100, VulnWindow::default());
-        q.allocate(6, 0x104, VulnWindow::default());
-        q.allocate(8, 0x108, VulnWindow::default());
-        q.resolve(4, 0x2000, MemWidth::W8, 1);
-        q.resolve(6, 0x2000, MemWidth::W8, 1);
-        q.resolve(8, 0x3000, MemWidth::W8, 1);
-        // Store at seq 5 to 0x2000: load 6 violated (load 4 is older, load 8 unrelated).
-        assert_eq!(q.search_violations(5, 0x2000, MemWidth::W8, None), Some(6));
-        // Store at seq 3: load 4 is the oldest violator.
-        assert_eq!(q.search_violations(3, 0x2000, MemWidth::W8, None), Some(4));
+        let a = q.allocate(4);
+        let b = q.allocate(6);
+        let c = q.allocate(8);
+        q.resolve(a, 0x2000, MemWidth::W8, 1);
+        q.resolve(b, 0x2000, MemWidth::W8, 1);
+        q.resolve(c, 0x3000, MemWidth::W8, 1);
+        // Store at seq 5 (dispatched after load 4): load 6 violated (load 4 is
+        // older, load 8 unrelated).
+        assert_eq!(q.search_violations(b, 0x2000, MemWidth::W8, None), Some(6));
+        // Store at seq 3 (dispatched before every load): load 4 is the oldest violator.
+        assert_eq!(q.search_violations(a, 0x2000, MemWidth::W8, None), Some(4));
         // Unrelated address: no violation.
-        assert_eq!(q.search_violations(3, 0x4000, MemWidth::W8, None), None);
+        assert_eq!(q.search_violations(a, 0x4000, MemWidth::W8, None), None);
     }
 
     #[test]
     fn silent_store_value_suppresses_violation() {
         let mut q = lq();
-        q.allocate(4, 0x100, VulnWindow::default());
-        q.resolve(4, 0x2000, MemWidth::W8, 42);
+        let ord = q.allocate(4);
+        q.resolve(ord, 0x2000, MemWidth::W8, 42);
         // The store writes the same value the load already obtained: no flush needed.
-        assert_eq!(q.search_violations(3, 0x2000, MemWidth::W8, Some(42)), None);
+        assert_eq!(q.search_violations(0, 0x2000, MemWidth::W8, Some(42)), None);
         // A different value is a real violation.
         assert_eq!(
-            q.search_violations(3, 0x2000, MemWidth::W8, Some(43)),
+            q.search_violations(0, 0x2000, MemWidth::W8, Some(43)),
             Some(4)
         );
     }
@@ -269,16 +271,16 @@ mod tests {
     #[test]
     fn unexecuted_loads_never_match() {
         let mut q = lq();
-        q.allocate(4, 0x100, VulnWindow::default());
-        assert_eq!(q.search_violations(3, 0x2000, MemWidth::W8, None), None);
+        q.allocate(4);
+        assert_eq!(q.search_violations(0, 0x2000, MemWidth::W8, None), None);
     }
 
     #[test]
     fn flush_discards_younger_loads() {
         let mut q = lq();
-        q.allocate(2, 0, VulnWindow::default());
-        q.allocate(4, 0, VulnWindow::default());
-        q.allocate(6, 0, VulnWindow::default());
+        q.allocate(2);
+        q.allocate(4);
+        q.allocate(6);
         q.flush_after(Some(4));
         assert_eq!(q.len(), 2);
         q.flush_after(None);
@@ -289,28 +291,18 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
         let mut q = LoadQueue::new(1);
-        q.allocate(1, 0, VulnWindow::default());
-        q.allocate(2, 0, VulnWindow::default());
+        q.allocate(1);
+        q.allocate(2);
     }
 
     #[test]
     fn reset_matches_new() {
         let mut q = lq();
-        q.allocate(2, 0x100, VulnWindow::default());
-        q.resolve(2, 0x1000, MemWidth::W8, 7);
-        let _ = q.search_violations(1, 0x1000, MemWidth::W8, None);
+        let ord = q.allocate(2);
+        q.resolve(ord, 0x1000, MemWidth::W8, 7);
+        let _ = q.search_violations(0, 0x1000, MemWidth::W8, None);
+        q.pop_commit(2);
         q.reset(8);
         assert_eq!(format!("{q:?}"), format!("{:?}", lq()));
-    }
-
-    #[test]
-    fn marked_flag_and_window_are_mutable() {
-        let mut q = lq();
-        q.allocate(2, 0, VulnWindow::default());
-        let e = q.get_mut(2).unwrap();
-        e.marked = true;
-        e.window = e.window.shrink_to(svw_core::Ssn::new(9));
-        assert!(q.get(2).unwrap().marked);
-        assert_eq!(q.get(2).unwrap().window.boundary(), svw_core::Ssn::new(9));
     }
 }

@@ -89,6 +89,13 @@ const GRANULE_SHIFT: u64 = 3;
 /// as the SSQ's retirement store queue (RSQ — the search methods are simply never
 /// called by that configuration).
 ///
+/// Every allocation gets an *ordinal*, dense over the entries in the queue (the
+/// oldest holds `head_ord`), so [`StoreQueue::resolve`] finds its entry in O(1). A
+/// load records [`StoreQueue::next_ord`] at dispatch: the stores older than it are
+/// exactly those with smaller ordinals, which bounds the forwarding search without
+/// comparing sequence numbers. A flush frees the youngest ordinals and the next
+/// allocations reuse them.
+///
 /// The associative forwarding search is accelerated by an *address-granule index*:
 /// a small bucket-count table over 8-byte address granules, maintained as stores
 /// resolve and leave the queue. Most loads have no older overlapping store, and for
@@ -100,16 +107,18 @@ const GRANULE_SHIFT: u64 = 3;
 pub struct StoreQueue {
     capacity: usize,
     entries: VecDeque<StoreEntry>,
+    /// Ordinal of `entries[0]`.
+    head_ord: u64,
     /// In-flight stores whose address is still unknown. Maintained so the hot
     /// "may this load issue speculatively?" query short-circuits without scanning.
     unresolved: usize,
-    /// Lower bound on the sequence number of the oldest unresolved store: every
-    /// entry with `seq < unresolved_floor` is known to be resolved. The floor only
-    /// advances, so [`StoreQueue::has_unresolved_older_than`] scans each queue
-    /// position at most once between allocations (amortised O(1)) instead of
-    /// re-walking the resolved prefix on every load issue. A `Cell` because the
-    /// query is logically `&self`; the hint never changes observable results.
-    unresolved_floor: std::cell::Cell<InstSeq>,
+    /// Lower bound on the ordinal of the oldest unresolved store: every entry with
+    /// a smaller ordinal is known to be resolved. The floor only advances, so
+    /// [`StoreQueue::has_unresolved_before`] scans each queue position at most once
+    /// between allocations (amortised O(1)) instead of re-walking the resolved
+    /// prefix on every load issue. A `Cell` because the query is logically `&self`;
+    /// the hint never changes observable results.
+    unresolved_floor: std::cell::Cell<u64>,
     /// Per-granule-bucket count of resolved stores covering that granule.
     granules: [u16; GRANULE_BUCKETS],
     searches: u64,
@@ -141,6 +150,7 @@ impl StoreQueue {
         StoreQueue {
             capacity,
             entries: VecDeque::with_capacity(capacity),
+            head_ord: 0,
             unresolved: 0,
             unresolved_floor: std::cell::Cell::new(0),
             granules: [0; GRANULE_BUCKETS],
@@ -176,12 +186,10 @@ impl StoreQueue {
         (g0..=g1).any(|g| self.granules[bucket(g)] != 0)
     }
 
-    /// Index of the entry with sequence number `seq`, located by binary search
-    /// (entries are age-ordered and sequence numbers increase with age order).
+    /// Number of entries with ordinals below `bound` (clamped to the queue).
     #[inline]
-    fn index_of(&self, seq: InstSeq) -> Option<usize> {
-        let i = self.entries.partition_point(|e| e.seq < seq);
-        (i < self.entries.len() && self.entries[i].seq == seq).then_some(i)
+    fn count_below(&self, bound: u64) -> usize {
+        (bound.saturating_sub(self.head_ord) as usize).min(self.entries.len())
     }
 
     /// Restores the empty state for `capacity` — observationally identical to
@@ -194,6 +202,7 @@ impl StoreQueue {
         assert!(capacity > 0, "store queue capacity must be non-zero");
         self.capacity = capacity;
         self.entries.clear();
+        self.head_ord = 0;
         self.unresolved = 0;
         self.unresolved_floor.set(0);
         self.granules = [0; GRANULE_BUCKETS];
@@ -231,12 +240,17 @@ impl StoreQueue {
         self.forwards
     }
 
-    /// Allocates a store at the tail (rename order).
+    /// The ordinal the next allocation will get (see the type documentation).
+    pub fn next_ord(&self) -> u64 {
+        self.head_ord + self.entries.len() as u64
+    }
+
+    /// Allocates a store at the tail (rename order) and returns its ordinal.
     ///
     /// # Panics
     ///
     /// Panics if the queue is full or if `seq` is not younger than the current tail.
-    pub fn allocate(&mut self, seq: InstSeq, pc: Pc, ssn: Ssn) {
+    pub fn allocate(&mut self, seq: InstSeq, pc: Pc, ssn: Ssn) -> u64 {
         assert!(self.has_space(), "store queue overflow");
         if let Some(tail) = self.entries.back() {
             assert!(seq > tail.seq, "stores must be allocated in program order");
@@ -250,25 +264,27 @@ impl StoreQueue {
             value: None,
         });
         self.unresolved += 1;
-        // Sequence numbers are reused after a pipeline flush, so a fresh store can
-        // land below the floor; pull the floor back to keep its invariant (no
-        // unresolved store older than the floor).
-        if seq < self.unresolved_floor.get() {
-            self.unresolved_floor.set(seq);
+        // Ordinals are reused after a pipeline flush, so a fresh store can land
+        // below the floor; pull the floor back to keep its invariant (no unresolved
+        // store below the floor).
+        let ord = self.next_ord() - 1;
+        if ord < self.unresolved_floor.get() {
+            self.unresolved_floor.set(ord);
         }
+        ord
     }
 
-    /// Records the address and data of the store with sequence number `seq`
-    /// (store execution).
+    /// Records the address and data of the store allocated as `ord` (store
+    /// execution).
     ///
     /// # Panics
     ///
-    /// Panics if the store is not in the queue.
-    pub fn resolve(&mut self, seq: InstSeq, addr: Addr, width: MemWidth, value: Value) {
-        let i = self
-            .index_of(seq)
+    /// Panics if no store with that ordinal is in the queue.
+    pub fn resolve(&mut self, ord: u64, addr: Addr, width: MemWidth, value: Value) {
+        let e = ord
+            .checked_sub(self.head_ord)
+            .and_then(|i| self.entries.get_mut(i as usize))
             .expect("resolving a store that is not in the store queue");
-        let e = &mut self.entries[i];
         let previous = e.addr.zip(e.width);
         if e.addr.is_none() {
             self.unresolved -= 1;
@@ -284,44 +300,36 @@ impl StoreQueue {
         self.index_add(addr, width);
     }
 
-    /// Returns `true` if any store older than `seq` has an unresolved address — the
-    /// condition under which a load issuing now is speculative (and, under NLQ_LS, is
-    /// marked for re-execution).
-    pub fn has_unresolved_older_than(&self, seq: InstSeq) -> bool {
+    /// Returns `true` if any store with an ordinal below `bound` (a load's
+    /// [`StoreQueue::next_ord`] at dispatch: the stores older than the load) has an
+    /// unresolved address — the condition under which a load issuing now is
+    /// speculative (and, under NLQ_LS, is marked for re-execution).
+    pub fn has_unresolved_before(&self, bound: u64) -> bool {
         if self.unresolved == 0 {
             return false;
         }
         let floor = self.unresolved_floor.get();
-        if floor >= seq {
+        if floor >= bound {
             return false;
         }
-        // Entries older than the floor are known resolved: scan only [floor, seq).
-        let start = self.entries.partition_point(|e| e.seq < floor);
-        for e in self.entries.range(start..) {
-            if e.seq >= seq {
-                break;
-            }
-            if e.addr.is_none() {
-                // `e` is the oldest unresolved store: remember it so the next
-                // query skips straight to it.
-                self.unresolved_floor.set(e.seq);
-                return true;
-            }
+        // Entries below the floor are known resolved: scan only [floor, bound).
+        let (start, end) = (self.count_below(floor), self.count_below(bound));
+        if let Some(i) = (start..end).find(|&i| self.entries[i].addr.is_none()) {
+            // The oldest unresolved store: remember it so the next query skips
+            // straight to it.
+            self.unresolved_floor.set(self.head_ord + i as u64);
+            return true;
         }
-        // No unresolved store older than `seq` — every unresolved store (there is
-        // at least one) is at `seq` or younger, so the floor may advance to `seq`.
-        self.unresolved_floor.set(seq);
+        // No unresolved store below `bound` — every unresolved store (there is at
+        // least one) is at `bound` or above, so the floor may advance to `bound`.
+        self.unresolved_floor.set(bound);
         false
     }
 
-    /// Associatively searches for the youngest store older than `load_seq` that
-    /// overlaps `[addr, addr+width)`.
-    pub fn search_forward(
-        &mut self,
-        load_seq: InstSeq,
-        addr: Addr,
-        width: MemWidth,
-    ) -> ForwardResult {
+    /// Associatively searches for the youngest store with an ordinal below `bound`
+    /// (a load's [`StoreQueue::next_ord`] at dispatch) that overlaps
+    /// `[addr, addr+width)`.
+    pub fn search_forward(&mut self, bound: u64, addr: Addr, width: MemWidth) -> ForwardResult {
         self.searches += 1;
         // The common case is no overlapping store at all: the granule index proves
         // it without touching the entries. (Unresolved stores are not in the index,
@@ -329,10 +337,8 @@ impl StoreQueue {
         if !self.index_may_overlap(addr, width) {
             return ForwardResult::None;
         }
-        // Only stores older than the load can forward; binary-search the age-ordered
-        // queue once instead of skipping younger entries one by one.
-        let older = self.entries.partition_point(|e| e.seq < load_seq);
-        for e in self.entries.range(..older).rev() {
+        // Only stores older than the load can forward.
+        for e in self.entries.range(..self.count_below(bound)).rev() {
             if e.overlaps(addr, width) {
                 return match e.value {
                     Some(stored) if e.contains(addr, width) => {
@@ -358,11 +364,6 @@ impl StoreQueue {
         self.entries.front()
     }
 
-    /// Looks up an in-flight store by sequence number.
-    pub fn get(&self, seq: InstSeq) -> Option<&StoreEntry> {
-        self.index_of(seq).map(|i| &self.entries[i])
-    }
-
     /// Removes and returns the oldest store (commit order).
     ///
     /// # Panics
@@ -374,6 +375,7 @@ impl StoreQueue {
             .pop_front()
             .expect("committing from an empty store queue");
         assert_eq!(front.seq, seq, "stores must commit in program order");
+        self.head_ord += 1;
         match (front.addr, front.width) {
             (Some(addr), Some(width)) => self.index_remove(addr, width),
             _ => self.unresolved -= 1,
@@ -420,10 +422,10 @@ mod tests {
     #[test]
     fn allocate_resolve_commit_in_order() {
         let mut q = sq();
-        q.allocate(1, 0x100, Ssn::new(1));
-        q.allocate(3, 0x108, Ssn::new(2));
+        assert_eq!(q.allocate(1, 0x100, Ssn::new(1)), 0);
+        assert_eq!(q.allocate(3, 0x108, Ssn::new(2)), 1);
         assert_eq!(q.len(), 2);
-        q.resolve(1, 0x1000, MemWidth::W8, 42);
+        q.resolve(0, 0x1000, MemWidth::W8, 42);
         let e = q.pop_commit(1);
         assert_eq!(e.value, Some(42));
         assert_eq!(q.len(), 1);
@@ -451,11 +453,12 @@ mod tests {
         q.allocate(1, 0x100, Ssn::new(1));
         q.allocate(3, 0x108, Ssn::new(2));
         q.allocate(5, 0x110, Ssn::new(3));
-        q.resolve(1, 0x2000, MemWidth::W8, 0xAAAA);
-        q.resolve(3, 0x2000, MemWidth::W8, 0xBBBB);
-        q.resolve(5, 0x2000, MemWidth::W8, 0xCCCC);
-        // A load at seq 4 sees store 3 (youngest older), not store 5 (younger).
-        match q.search_forward(4, 0x2000, MemWidth::W8) {
+        q.resolve(0, 0x2000, MemWidth::W8, 0xAAAA);
+        q.resolve(1, 0x2000, MemWidth::W8, 0xBBBB);
+        q.resolve(2, 0x2000, MemWidth::W8, 0xCCCC);
+        // A load at seq 4 (two older stores: bound 2) sees store 3 (youngest older),
+        // not store 5 (younger).
+        match q.search_forward(2, 0x2000, MemWidth::W8) {
             ForwardResult::Forward { seq, value, .. } => {
                 assert_eq!(seq, 3);
                 assert_eq!(value, 0xBBBB);
@@ -468,8 +471,8 @@ mod tests {
     fn forwarding_extracts_subword() {
         let mut q = sq();
         q.allocate(1, 0x100, Ssn::new(1));
-        q.resolve(1, 0x3000, MemWidth::W8, 0x1122_3344_5566_7788);
-        match q.search_forward(2, 0x3004, MemWidth::W4) {
+        q.resolve(0, 0x3000, MemWidth::W8, 0x1122_3344_5566_7788);
+        match q.search_forward(1, 0x3004, MemWidth::W4) {
             ForwardResult::Forward { value, .. } => assert_eq!(value, 0x1122_3344),
             other => panic!("expected forwarding, got {other:?}"),
         }
@@ -479,10 +482,10 @@ mod tests {
     fn partial_overlap_is_a_conflict() {
         let mut q = sq();
         q.allocate(1, 0x100, Ssn::new(1));
-        q.resolve(1, 0x4004, MemWidth::W4, 0xFF);
+        q.resolve(0, 0x4004, MemWidth::W4, 0xFF);
         // An 8-byte load at 0x4000 is only partially covered.
         assert_eq!(
-            q.search_forward(2, 0x4000, MemWidth::W8),
+            q.search_forward(1, 0x4000, MemWidth::W8),
             ForwardResult::Conflict { seq: 1 }
         );
     }
@@ -494,21 +497,22 @@ mod tests {
         // Address known but treat missing value as conflict: resolve() sets both, so
         // model an unresolved store as entirely unresolved — it simply doesn't match.
         assert_eq!(
-            q.search_forward(2, 0x5000, MemWidth::W8),
+            q.search_forward(1, 0x5000, MemWidth::W8),
             ForwardResult::None
         );
-        assert!(q.has_unresolved_older_than(2));
-        q.resolve(1, 0x5000, MemWidth::W8, 9);
-        assert!(!q.has_unresolved_older_than(2));
+        assert!(q.has_unresolved_before(1));
+        q.resolve(0, 0x5000, MemWidth::W8, 9);
+        assert!(!q.has_unresolved_before(1));
     }
 
     #[test]
     fn younger_stores_never_forward() {
         let mut q = sq();
+        // The load dispatched before the store: its bound (0) excludes it.
         q.allocate(5, 0x100, Ssn::new(1));
-        q.resolve(5, 0x6000, MemWidth::W8, 1);
+        q.resolve(0, 0x6000, MemWidth::W8, 1);
         assert_eq!(
-            q.search_forward(2, 0x6000, MemWidth::W8),
+            q.search_forward(0, 0x6000, MemWidth::W8),
             ForwardResult::None
         );
     }
@@ -533,13 +537,13 @@ mod tests {
         q.allocate(1, 0, Ssn::new(1));
         q.allocate(3, 0, Ssn::new(2));
         q.allocate(5, 0, Ssn::new(3));
-        assert!(q.has_unresolved_older_than(9));
-        q.resolve(3, 0x1000, MemWidth::W8, 1);
+        assert!(q.has_unresolved_before(3));
+        q.resolve(1, 0x1000, MemWidth::W8, 1);
         // Flush discards seq 5 (unresolved); seq 1 remains unresolved.
         q.flush_after(Some(3));
-        assert!(q.has_unresolved_older_than(2));
-        q.resolve(1, 0x2000, MemWidth::W8, 2);
-        assert!(!q.has_unresolved_older_than(9));
+        assert!(q.has_unresolved_before(1));
+        q.resolve(0, 0x2000, MemWidth::W8, 2);
+        assert!(!q.has_unresolved_before(3));
         q.reset(4);
         assert_eq!(format!("{q:?}"), format!("{:?}", sq()));
     }
@@ -552,17 +556,17 @@ mod tests {
         let mut q = StoreQueue::new(8);
         // Aliased addresses: 0x1000 and 0x1000 + 256*8 land in the same bucket.
         q.allocate(1, 0, Ssn::new(1));
-        q.resolve(1, 0x1000 + 2048, MemWidth::W8, 7);
+        q.resolve(0, 0x1000 + 2048, MemWidth::W8, 7);
         // A load at the aliased (but distinct) address: the index says "maybe",
         // the scan says no — and the result must still be None.
         assert_eq!(
-            q.search_forward(2, 0x1000, MemWidth::W8),
+            q.search_forward(1, 0x1000, MemWidth::W8),
             ForwardResult::None
         );
         // The real match at the aliased address still forwards.
         q.allocate(3, 0, Ssn::new(2));
-        q.resolve(3, 0x1000, MemWidth::W8, 9);
-        match q.search_forward(4, 0x1000, MemWidth::W8) {
+        q.resolve(1, 0x1000, MemWidth::W8, 9);
+        match q.search_forward(2, 0x1000, MemWidth::W8) {
             ForwardResult::Forward { seq, value, .. } => {
                 assert_eq!((seq, value), (3, 9));
             }
@@ -573,7 +577,7 @@ mod tests {
         q.pop_commit(1);
         q.flush_after(None);
         assert_eq!(
-            q.search_forward(9, 0x1000, MemWidth::W8),
+            q.search_forward(q.next_ord(), 0x1000, MemWidth::W8),
             ForwardResult::None
         );
         assert_eq!(format!("{:?}", q.granules), format!("{:?}", [0u16; 256]));
@@ -586,47 +590,49 @@ mod tests {
         let mut q = StoreQueue::new(4);
         q.allocate(1, 0, Ssn::new(1));
         // A 4-byte store near the end of one granule...
-        q.resolve(1, 0x2004, MemWidth::W4, 0xFF);
+        q.resolve(0, 0x2004, MemWidth::W4, 0xFF);
         // ...partially overlapped by an 8-byte load starting in the same granule.
         assert_eq!(
-            q.search_forward(2, 0x2000, MemWidth::W8),
+            q.search_forward(1, 0x2000, MemWidth::W8),
             ForwardResult::Conflict { seq: 1 }
         );
         // An 8-byte load in the *next* granule does not overlap the store.
         assert_eq!(
-            q.search_forward(2, 0x2008, MemWidth::W8),
+            q.search_forward(1, 0x2008, MemWidth::W8),
             ForwardResult::None
         );
     }
 
     /// The unresolved-floor hint must never change observable results — in
-    /// particular across a flush that frees sequence numbers which are then
-    /// reallocated below a previously advanced floor.
+    /// particular across a flush that frees ordinals which are then reallocated
+    /// below a previously advanced floor.
     #[test]
     fn unresolved_floor_survives_flush_and_seq_reuse() {
         let mut q = StoreQueue::new(8);
         q.allocate(1, 0, Ssn::new(1));
         q.allocate(5, 0, Ssn::new(2));
-        q.resolve(1, 0x1000, MemWidth::W8, 0);
-        // Advances the floor to 3: the only unresolved store (5) is younger.
-        assert!(!q.has_unresolved_older_than(3));
-        assert!(q.has_unresolved_older_than(9));
-        // Flush discards store 5; its sequence-number range is reused.
+        q.allocate(7, 0, Ssn::new(3));
+        q.resolve(0, 0x1000, MemWidth::W8, 0);
+        q.resolve(1, 0x1008, MemWidth::W8, 0);
+        // Advances the floor to ordinal 2: the only unresolved store (7) is there.
+        assert!(!q.has_unresolved_before(2));
+        assert!(q.has_unresolved_before(3));
+        // Flush discards stores 5 and 7; ordinal 1 is reused below the floor.
         q.flush_after(Some(1));
-        q.allocate(2, 0, Ssn::new(2));
-        // Store 2 is unresolved and older than 3 — the stale floor must not hide it.
-        assert!(q.has_unresolved_older_than(3));
-        q.resolve(2, 0x2000, MemWidth::W8, 0);
-        assert!(!q.has_unresolved_older_than(9));
+        assert_eq!(q.allocate(2, 0, Ssn::new(2)), 1);
+        // Store 2 is unresolved and below bound 2 — the stale floor must not hide it.
+        assert!(q.has_unresolved_before(2));
+        q.resolve(1, 0x2000, MemWidth::W8, 0);
+        assert!(!q.has_unresolved_before(2));
     }
 
     #[test]
     fn search_statistics() {
         let mut q = sq();
         q.allocate(1, 0, Ssn::new(1));
-        q.resolve(1, 0x7000, MemWidth::W8, 5);
-        let _ = q.search_forward(2, 0x7000, MemWidth::W8);
-        let _ = q.search_forward(2, 0x8000, MemWidth::W8);
+        q.resolve(0, 0x7000, MemWidth::W8, 5);
+        let _ = q.search_forward(1, 0x7000, MemWidth::W8);
+        let _ = q.search_forward(1, 0x8000, MemWidth::W8);
         assert_eq!(q.searches(), 2);
         assert_eq!(q.forwards(), 1);
     }

@@ -54,16 +54,21 @@ impl BankedPorts {
         ((addr / self.line_bytes) as usize) & (self.banks - 1)
     }
 
+    /// Whether the bank for `addr` is still free during `cycle`.
+    #[inline]
+    pub fn is_free(&self, addr: Addr, cycle: u64) -> bool {
+        self.last_used[self.bank_of(addr)] != cycle
+    }
+
     /// Attempts to use the bank for `addr` during `cycle`. Returns `true` (and marks
     /// the bank busy for that cycle) if it was free.
     pub fn try_use(&mut self, addr: Addr, cycle: u64) -> bool {
-        let b = self.bank_of(addr);
-        if self.last_used[b] == cycle {
-            false
-        } else {
-            self.last_used[b] = cycle;
-            true
+        if !self.is_free(addr, cycle) {
+            return false;
         }
+        let b = self.bank_of(addr);
+        self.last_used[b] = cycle;
+        true
     }
 
     /// Number of banks.
@@ -133,8 +138,10 @@ mod tests {
         assert!(p.try_use(0x000, 1));
         assert!(p.try_use(0x040, 1));
         // Same bank again in the same cycle: rejected.
+        assert!(!p.is_free(0x080, 1));
         assert!(!p.try_use(0x080, 1));
         // Next cycle it frees up.
+        assert!(p.is_free(0x080, 2));
         assert!(p.try_use(0x080, 2));
     }
 

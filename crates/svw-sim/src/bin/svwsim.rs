@@ -186,7 +186,7 @@ COMMON OPTIONS:
     --plan FILE      sweep: execute a coordinator plan file instead of --figure
     --plan-out FILE  coordinate: where to write the next requeue plan
     --stats          dump per-worker scheduler statistics (cells drained, resets
-                     vs rebuilds, slab high-water marks) and trace counters
+                     vs rebuilds) and trace counters
                      (generated / cells sharing a generated trace) to stderr
     --stats-json F   write the --stats counters to F as one JSON object
     --events FILE    append a kill-tolerant per-cell lifecycle event journal
@@ -419,17 +419,16 @@ impl Common {
 fn dump_worker_stats(collector: &StatsCollector, result_cache: Option<&ResultCache>) {
     let workers = collector.workers();
     eprintln!("[svwsim] per-worker scheduler statistics:");
-    eprintln!("  worker  simulated  restored  cached  failed  resets  rebuilds  slab-high-water");
+    eprintln!("  worker  simulated  restored  cached  failed  resets  rebuilds");
     for (i, w) in workers.iter().enumerate() {
         eprintln!(
-            "  {i:>6}  {:>9}  {:>8}  {:>6}  {:>6}  {:>6}  {:>8}  {:>15}",
+            "  {i:>6}  {:>9}  {:>8}  {:>6}  {:>6}  {:>6}  {:>8}",
             w.cells_simulated,
             w.cells_restored,
             w.cells_cached,
             w.cells_failed,
             w.resets,
             w.rebuilds,
-            w.slab_high_water,
         );
     }
     if let Some(rc) = result_cache {
@@ -470,7 +469,6 @@ fn write_stats_json(path: &str, collector: &StatsCollector, result_cache: Option
                     ("cells_failed", json::uint(w.cells_failed)),
                     ("resets", json::uint(w.resets)),
                     ("rebuilds", json::uint(w.rebuilds)),
-                    ("slab_high_water", json::uint(w.slab_high_water)),
                 ])
             })),
         ),

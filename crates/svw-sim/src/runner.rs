@@ -266,7 +266,7 @@ pub struct RunOptions<'c> {
     /// [`execute_plan`] honours the plan's own per-cell assignment instead.
     pub shard: Option<Shard>,
     /// Accumulate per-worker scheduler statistics (cells drained, resets vs
-    /// rebuilds, slab high-water marks) into this collector.
+    /// rebuilds) into this collector.
     pub stats: Option<&'c StatsCollector>,
     /// Observability instrumentation (`--events` journal, `--metrics-out`
     /// registry, `--progress` reporter). Purely additive: instrumentation
@@ -305,12 +305,10 @@ pub struct WorkerStats {
     /// Cell startups that built a pipeline from scratch (the worker's first cell,
     /// or the cell after a panic discarded the arena).
     pub rebuilds: u64,
-    /// Largest rename-history slab (entries) any of this worker's cells needed.
-    pub slab_high_water: u64,
 }
 
 impl WorkerStats {
-    /// Folds another sample into this one (counters add, high-water marks max).
+    /// Folds another sample into this one (counters add).
     fn merge(&mut self, other: &WorkerStats) {
         self.cells_simulated += other.cells_simulated;
         self.cells_restored += other.cells_restored;
@@ -318,7 +316,6 @@ impl WorkerStats {
         self.cells_failed += other.cells_failed;
         self.resets += other.resets;
         self.rebuilds += other.rebuilds;
-        self.slab_high_water = self.slab_high_water.max(other.slab_high_water);
     }
 }
 
@@ -724,8 +721,6 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
                                 arena = SimArena::new();
                             }
                             wstats.cells_simulated += 1;
-                            wstats.slab_high_water =
-                                wstats.slab_high_water.max(arena.rename_slab_len() as u64);
                             if let Some(collector) = opts.stats {
                                 let counter = if generated.is_some() {
                                     &collector.traces_generated
