@@ -1,4 +1,5 @@
-//! Micro-benchmarks of the SVW hardware structures.
+//! Micro-benchmarks of the SVW hardware structures and of the cell-line codec that
+//! every result-cache hit and resumed cell goes through.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -7,6 +8,8 @@ use svw_core::{
     VulnWindow,
 };
 use svw_rle::{IntegrationTable, ItConfig, ItEntry, ItSignature, RleKind};
+use svw_sim::jsonl::{cell_line, parse_cell_line};
+use svw_sim::{CellId, ResultCache};
 
 fn bench_ssbf_organisations(c: &mut Criterion) {
     let mut group = c.benchmark_group("ssbf_update_lookup");
@@ -133,8 +136,47 @@ fn bench_ssbf_batched(c: &mut Criterion) {
     group.finish();
 }
 
+/// One finished cell as the result cache stores it: a simulated fig5 cell.
+fn sample_cell() -> (CellId, svw_cpu::CpuStats) {
+    let profile = svw_workloads::WorkloadProfile::by_name("gcc").expect("workload exists");
+    let config = svw_sim::presets::fig5_nlq_configs()
+        .pop()
+        .expect("fig5 has configs");
+    let program = profile.generate(2_000, 1);
+    let stats = svw_cpu::Cpu::new(config.clone(), &program).run();
+    let id = CellId {
+        matrix: "fig5".into(),
+        workload: profile.name.clone(),
+        config: config.name.clone(),
+        seed: 1,
+        trace_len: 2_000,
+        fingerprint: profile.fingerprint(),
+        model_version: 1,
+        spec_fingerprint: 0x0123_4567_89ab_cdef,
+    };
+    (id, stats)
+}
+
+fn bench_cell_codec(c: &mut Criterion) {
+    let (id, stats) = sample_cell();
+    let result = Ok(stats);
+    let line = cell_line(&id, &result);
+    let mut group = c.benchmark_group("cell_line");
+    group.bench_function("encode", |b| {
+        b.iter(|| black_box(cell_line(black_box(&id), &result)))
+    });
+    group.bench_function("decode", |b| {
+        b.iter(|| black_box(parse_cell_line(black_box(&line))))
+    });
+    group.bench_function("cache_key", |b| {
+        b.iter(|| black_box(ResultCache::cache_key(black_box(&id))))
+    });
+    group.finish();
+}
+
 criterion_group!(
     structures,
+    bench_cell_codec,
     bench_ssbf_organisations,
     bench_ssbf_batched,
     bench_ssn_clock,

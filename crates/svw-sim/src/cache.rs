@@ -41,11 +41,12 @@
 //! round-trip losslessly (the jsonl unit tests enforce this).
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::SystemTime;
 
 use svw_cpu::CpuStats;
@@ -67,13 +68,23 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// Streaming FNV-1a: folds every byte written to it into the hash.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
     }
-    hash
+}
+
+/// FNV-1a of `value`'s text, streamed through the hash without a string.
+fn fnv1a(value: impl fmt::Display) -> u64 {
+    let mut hash = Fnv1a(FNV_OFFSET);
+    let _ = write!(hash, "{value}");
+    hash.0
 }
 
 /// How a [`ResultCache`] participates in a sweep.
@@ -236,7 +247,7 @@ impl ResultCache {
     /// address (and a colliding address is still rejected by the stored line's
     /// identity check on lookup).
     pub fn cache_key(id: &CellId) -> u64 {
-        let identity = format!(
+        fnv1a(format_args!(
             "{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}\u{1f}{}",
             crate::registry::RESULT_SCHEMA_VERSION,
             id.model_version,
@@ -247,18 +258,18 @@ impl ResultCache {
             id.seed,
             id.trace_len,
             id.fingerprint,
-        );
-        fnv1a(identity.as_bytes())
+        ))
     }
 
     fn entry_path(&self, key: u64) -> PathBuf {
         self.root
-            .join(format!("{:02x}", key >> 56))
-            .join(format!("{key:016x}.{ENTRY_EXT}"))
+            .join(format!("{:02x}/{key:016x}.{ENTRY_EXT}", key >> 56))
     }
 
-    fn index_shard(&self, id: &CellId) -> &Mutex<HashMap<CellId, CpuStats>> {
-        &self.index[(Self::cache_key(id) as usize) % INDEX_SHARDS]
+    fn index_shard(&self, key: u64) -> MutexGuard<'_, HashMap<CellId, CpuStats>> {
+        self.index[(key as usize) % INDEX_SHARDS]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks up `id`, consulting the in-process index first and the on-disk
@@ -270,23 +281,15 @@ impl ResultCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        {
-            let shard = self
-                .index_shard(id)
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if let Some(stats) = shard.get(id) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(stats.clone());
-            }
+        let key = Self::cache_key(id);
+        if let Some(stats) = self.index_shard(key).get(id) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(stats.clone());
         }
-        match read_entry(&self.entry_path(Self::cache_key(id)), id) {
+        match read_entry(&self.entry_path(key), id) {
             Some(stats) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.index_shard(id)
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(id.clone(), stats.clone());
+                self.index_shard(key).insert(id.clone(), stats.clone());
                 Some(stats)
             }
             None => {
@@ -312,22 +315,17 @@ impl ResultCache {
         if self.mode == CacheMode::ReadOnly {
             return Ok(());
         }
+        let key = Self::cache_key(id);
         {
-            let mut shard = self
-                .index_shard(id)
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let mut shard = self.index_shard(key);
             if shard.get(id).is_some() {
                 return Ok(());
             }
             shard.insert(id.clone(), stats.clone());
         }
         let payload = cell_line(id, &Ok(stats.clone()));
-        let entry = format!(
-            "{ENTRY_MAGIC} {:016x}\n{payload}\n",
-            fnv1a(payload.as_bytes())
-        );
-        let path = self.entry_path(Self::cache_key(id));
+        let entry = format!("{ENTRY_MAGIC} {:016x}\n{payload}\n", fnv1a(&payload));
+        let path = self.entry_path(key);
         let result = (|| {
             fs::create_dir_all(path.parent().expect("entry path has a fanout parent"))?;
             // Unique per process *and* per in-flight write, so concurrent
@@ -496,43 +494,30 @@ fn walk_files(dir: &Path) -> io::Result<Vec<FileInfo>> {
 /// checksum, unparsable line, failed-status line, identity mismatch — is a
 /// silent miss.
 fn read_entry(path: &Path, id: &CellId) -> Option<CpuStats> {
-    let content = fs::read_to_string(path).ok()?;
-    let payload = validate_entry(&content)?;
-    match parse_cell_line(payload) {
-        Some((stored_id, Ok(stats))) if stored_id == *id => Some(stats),
-        _ => None,
-    }
+    let (stored_id, stats) = decode_entry(&fs::read_to_string(path).ok()?)?;
+    (stored_id == *id).then_some(stats)
 }
 
-/// Structural validation shared by lookup and verify: returns the payload line
-/// when the envelope (magic, checksum, framing) is intact.
-fn validate_entry(content: &str) -> Option<&str> {
+/// The successful cell an entry file's content holds, when its envelope (magic,
+/// checksum, framing) is intact — shared by lookup and verify.
+fn decode_entry(content: &str) -> Option<(CellId, CpuStats)> {
     let (header, rest) = content.split_once('\n')?;
     let payload = rest.strip_suffix('\n')?;
     if payload.contains('\n') {
         return None;
     }
     let (magic, checksum) = header.split_once(' ')?;
-    if magic != ENTRY_MAGIC {
+    if magic != ENTRY_MAGIC || u64::from_str_radix(checksum, 16).ok()? != fnv1a(payload) {
         return None;
     }
-    let checksum = u64::from_str_radix(checksum, 16).ok()?;
-    if checksum != fnv1a(payload.as_bytes()) {
-        return None;
-    }
-    Some(payload)
+    let (id, stats) = parse_cell_line(payload)?;
+    Some((id, stats.ok()?))
 }
 
 /// Full validation of one entry file on disk: envelope intact, line parses to
 /// a successful cell, and the file sits at the identity's content address.
 fn entry_is_valid(path: &Path) -> bool {
-    let Ok(content) = fs::read_to_string(path) else {
-        return false;
-    };
-    let Some(payload) = validate_entry(&content) else {
-        return false;
-    };
-    let Some((id, Ok(_))) = parse_cell_line(payload) else {
+    let Some((id, _)) = fs::read_to_string(path).ok().and_then(|c| decode_entry(&c)) else {
         return false;
     };
     let expected = format!("{:016x}.{ENTRY_EXT}", ResultCache::cache_key(&id));

@@ -189,34 +189,35 @@ pub struct Event {
 
 /// Parses one journal line; `None` when the line is malformed or not an event.
 pub fn parse_event_line(line: &str) -> Option<Event> {
-    let fields = json::parse_flat_object(line)?;
     let mut event = Event::default();
     let mut saw_ev = false;
     let mut saw_ts = false;
-    for (name, value) in fields {
-        match name.as_str() {
+    json::parse_flat_object(line, |name, value| {
+        let text = || value.as_str().map(String::from);
+        match &*name {
             "ev" => {
-                event.ev = value.as_str()?.to_string();
+                event.ev = text()?;
                 saw_ev = true;
             }
             "ts_us" => {
                 event.ts_us = value.as_u64()?;
                 saw_ts = true;
             }
-            "matrix" => event.matrix = Some(value.as_str()?.to_string()),
-            "workload" => event.workload = Some(value.as_str()?.to_string()),
-            "config" => event.config = Some(value.as_str()?.to_string()),
+            "matrix" => event.matrix = Some(text()?),
+            "workload" => event.workload = Some(text()?),
+            "config" => event.config = Some(text()?),
             "seed" => event.seed = Some(value.as_u64()?),
             "worker" => event.worker = Some(value.as_u64()?),
             "cycles" => event.cycles = Some(value.as_u64()?),
             "dur_us" => event.dur_us = Some(value.as_f64()?),
-            "error" => event.error = Some(value.as_str()?.to_string()),
-            "phase" => event.phase = Some(value.as_str()?.to_string()),
+            "error" => event.error = Some(text()?),
+            "phase" => event.phase = Some(text()?),
             "cells" => event.cells = Some(value.as_u64()?),
             // Unknown fields are forward-compatible padding, not corruption.
             _ => {}
         }
-    }
+        Some(())
+    })?;
     (saw_ev && saw_ts).then_some(event)
 }
 

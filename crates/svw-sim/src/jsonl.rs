@@ -39,167 +39,82 @@ use svw_cpu::CpuStats;
 
 use crate::json::{self, Scalar};
 
-/// The scalar `CpuStats` counters that round-trip through the JSONL stream, in
-/// emission order. [`stat_get`] and [`stat_set`] must cover exactly these names (a
-/// unit test enforces the round-trip).
-const STAT_FIELDS: &[&str] = &[
-    "cycles",
-    "committed",
-    "loads_retired",
-    "stores_retired",
-    "loads_marked",
-    "loads_filtered",
-    "loads_reexecuted",
-    "reexecuted_fsq_loads",
-    "reexecuted_reuse_loads",
-    "reexecuted_bypass_loads",
-    "loads_eliminated",
-    "eliminations_reuse",
-    "eliminations_bypass",
-    "eliminations_squash",
-    "reexec_flushes",
-    "ordering_flushes",
-    "wrap_drains",
-    "branch_mispredictions",
-    "commit_stalled_on_reexec",
-    "reexec_port_conflicts",
-    "fwd_buffer_lookups",
-    "fwd_buffer_hits",
-    "store_set_squashes",
-    // Nested substrate statistics, flattened so restored cells are lossless.
-    "bp_predictions",
-    "bp_mispredictions",
-    "l1i_reads",
-    "l1i_writes",
-    "l1i_read_misses",
-    "l1i_write_misses",
-    "l1i_dirty_evictions",
-    "l1d_reads",
-    "l1d_writes",
-    "l1d_read_misses",
-    "l1d_write_misses",
-    "l1d_dirty_evictions",
-    "l2_reads",
-    "l2_writes",
-    "l2_read_misses",
-    "l2_write_misses",
-    "l2_dirty_evictions",
-    "mem_accesses",
-    "svw_marked_loads",
-    "svw_filtered_loads",
-    "svw_reexecuted_loads",
-    "svw_reexec_mismatches",
-    "svw_wrap_drains",
-    "svw_ssbf_store_updates",
-    "svw_ssbf_invalidation_updates",
-];
-
-fn stat_get(s: &CpuStats, field: &str) -> u64 {
-    match field {
-        "cycles" => s.cycles,
-        "committed" => s.committed,
-        "loads_retired" => s.loads_retired,
-        "stores_retired" => s.stores_retired,
-        "loads_marked" => s.loads_marked,
-        "loads_filtered" => s.loads_filtered,
-        "loads_reexecuted" => s.loads_reexecuted,
-        "reexecuted_fsq_loads" => s.reexecuted_fsq_loads,
-        "reexecuted_reuse_loads" => s.reexecuted_reuse_loads,
-        "reexecuted_bypass_loads" => s.reexecuted_bypass_loads,
-        "loads_eliminated" => s.loads_eliminated,
-        "eliminations_reuse" => s.eliminations_reuse,
-        "eliminations_bypass" => s.eliminations_bypass,
-        "eliminations_squash" => s.eliminations_squash,
-        "reexec_flushes" => s.reexec_flushes,
-        "ordering_flushes" => s.ordering_flushes,
-        "wrap_drains" => s.wrap_drains,
-        "branch_mispredictions" => s.branch_mispredictions,
-        "commit_stalled_on_reexec" => s.commit_stalled_on_reexec,
-        "reexec_port_conflicts" => s.reexec_port_conflicts,
-        "fwd_buffer_lookups" => s.fwd_buffer_lookups,
-        "fwd_buffer_hits" => s.fwd_buffer_hits,
-        "store_set_squashes" => s.store_set_squashes,
-        "bp_predictions" => s.branch_predictor.predictions,
-        "bp_mispredictions" => s.branch_predictor.mispredictions,
-        "l1i_reads" => s.hierarchy.l1i.reads,
-        "l1i_writes" => s.hierarchy.l1i.writes,
-        "l1i_read_misses" => s.hierarchy.l1i.read_misses,
-        "l1i_write_misses" => s.hierarchy.l1i.write_misses,
-        "l1i_dirty_evictions" => s.hierarchy.l1i.dirty_evictions,
-        "l1d_reads" => s.hierarchy.l1d.reads,
-        "l1d_writes" => s.hierarchy.l1d.writes,
-        "l1d_read_misses" => s.hierarchy.l1d.read_misses,
-        "l1d_write_misses" => s.hierarchy.l1d.write_misses,
-        "l1d_dirty_evictions" => s.hierarchy.l1d.dirty_evictions,
-        "l2_reads" => s.hierarchy.l2.reads,
-        "l2_writes" => s.hierarchy.l2.writes,
-        "l2_read_misses" => s.hierarchy.l2.read_misses,
-        "l2_write_misses" => s.hierarchy.l2.write_misses,
-        "l2_dirty_evictions" => s.hierarchy.l2.dirty_evictions,
-        "mem_accesses" => s.hierarchy.memory_accesses,
-        "svw_marked_loads" => s.svw.marked_loads,
-        "svw_filtered_loads" => s.svw.filtered_loads,
-        "svw_reexecuted_loads" => s.svw.reexecuted_loads,
-        "svw_reexec_mismatches" => s.svw.reexec_mismatches,
-        "svw_wrap_drains" => s.svw.wrap_drains,
-        "svw_ssbf_store_updates" => s.svw.ssbf_store_updates,
-        "svw_ssbf_invalidation_updates" => s.svw.ssbf_invalidation_updates,
-        _ => unreachable!("unknown stat field {field}"),
-    }
+/// One scalar `CpuStats` counter that round-trips through the JSONL stream.
+struct StatField {
+    name: &'static str,
+    get: fn(&CpuStats) -> u64,
+    set: fn(&mut CpuStats, u64),
 }
 
-fn stat_set(s: &mut CpuStats, field: &str, v: u64) {
-    match field {
-        "cycles" => s.cycles = v,
-        "committed" => s.committed = v,
-        "loads_retired" => s.loads_retired = v,
-        "stores_retired" => s.stores_retired = v,
-        "loads_marked" => s.loads_marked = v,
-        "loads_filtered" => s.loads_filtered = v,
-        "loads_reexecuted" => s.loads_reexecuted = v,
-        "reexecuted_fsq_loads" => s.reexecuted_fsq_loads = v,
-        "reexecuted_reuse_loads" => s.reexecuted_reuse_loads = v,
-        "reexecuted_bypass_loads" => s.reexecuted_bypass_loads = v,
-        "loads_eliminated" => s.loads_eliminated = v,
-        "eliminations_reuse" => s.eliminations_reuse = v,
-        "eliminations_bypass" => s.eliminations_bypass = v,
-        "eliminations_squash" => s.eliminations_squash = v,
-        "reexec_flushes" => s.reexec_flushes = v,
-        "ordering_flushes" => s.ordering_flushes = v,
-        "wrap_drains" => s.wrap_drains = v,
-        "branch_mispredictions" => s.branch_mispredictions = v,
-        "commit_stalled_on_reexec" => s.commit_stalled_on_reexec = v,
-        "reexec_port_conflicts" => s.reexec_port_conflicts = v,
-        "fwd_buffer_lookups" => s.fwd_buffer_lookups = v,
-        "fwd_buffer_hits" => s.fwd_buffer_hits = v,
-        "store_set_squashes" => s.store_set_squashes = v,
-        "bp_predictions" => s.branch_predictor.predictions = v,
-        "bp_mispredictions" => s.branch_predictor.mispredictions = v,
-        "l1i_reads" => s.hierarchy.l1i.reads = v,
-        "l1i_writes" => s.hierarchy.l1i.writes = v,
-        "l1i_read_misses" => s.hierarchy.l1i.read_misses = v,
-        "l1i_write_misses" => s.hierarchy.l1i.write_misses = v,
-        "l1i_dirty_evictions" => s.hierarchy.l1i.dirty_evictions = v,
-        "l1d_reads" => s.hierarchy.l1d.reads = v,
-        "l1d_writes" => s.hierarchy.l1d.writes = v,
-        "l1d_read_misses" => s.hierarchy.l1d.read_misses = v,
-        "l1d_write_misses" => s.hierarchy.l1d.write_misses = v,
-        "l1d_dirty_evictions" => s.hierarchy.l1d.dirty_evictions = v,
-        "l2_reads" => s.hierarchy.l2.reads = v,
-        "l2_writes" => s.hierarchy.l2.writes = v,
-        "l2_read_misses" => s.hierarchy.l2.read_misses = v,
-        "l2_write_misses" => s.hierarchy.l2.write_misses = v,
-        "l2_dirty_evictions" => s.hierarchy.l2.dirty_evictions = v,
-        "mem_accesses" => s.hierarchy.memory_accesses = v,
-        "svw_marked_loads" => s.svw.marked_loads = v,
-        "svw_filtered_loads" => s.svw.filtered_loads = v,
-        "svw_reexecuted_loads" => s.svw.reexecuted_loads = v,
-        "svw_reexec_mismatches" => s.svw.reexec_mismatches = v,
-        "svw_wrap_drains" => s.svw.wrap_drains = v,
-        "svw_ssbf_store_updates" => s.svw.ssbf_store_updates = v,
-        "svw_ssbf_invalidation_updates" => s.svw.ssbf_invalidation_updates = v,
-        _ => unreachable!("unknown stat field {field}"),
-    }
+/// Declares `STAT_FIELDS`, the scalar `CpuStats` counters that round-trip through
+/// the JSONL stream in emission order (from `"name": field.path` rows), and
+/// `CELL_KEYS`, every key [`parse_cell_line`] reads: the `head` keys, then those
+/// names. A unit test enforces the round-trip of every field.
+macro_rules! cell_fields {
+    ([$($head:literal),*] $($name:literal: $($path:ident).+,)*) => {
+        const STAT_FIELDS: &[StatField] = &[$(StatField {
+            name: $name,
+            get: |s| s.$($path).+,
+            set: |s, v| s.$($path).+ = v,
+        }),*];
+        const CELL_KEYS: [&str; [$($head),*].len() + STAT_FIELDS.len()] = [$($head,)* $($name),*];
+    };
+}
+
+cell_fields! {
+    [
+        "matrix", "workload", "config", "seed", "trace_len", "fingerprint", "schema",
+        "model_version", "spec_fingerprint", "status", "error"
+    ]
+    "cycles": cycles,
+    "committed": committed,
+    "loads_retired": loads_retired,
+    "stores_retired": stores_retired,
+    "loads_marked": loads_marked,
+    "loads_filtered": loads_filtered,
+    "loads_reexecuted": loads_reexecuted,
+    "reexecuted_fsq_loads": reexecuted_fsq_loads,
+    "reexecuted_reuse_loads": reexecuted_reuse_loads,
+    "reexecuted_bypass_loads": reexecuted_bypass_loads,
+    "loads_eliminated": loads_eliminated,
+    "eliminations_reuse": eliminations_reuse,
+    "eliminations_bypass": eliminations_bypass,
+    "eliminations_squash": eliminations_squash,
+    "reexec_flushes": reexec_flushes,
+    "ordering_flushes": ordering_flushes,
+    "wrap_drains": wrap_drains,
+    "branch_mispredictions": branch_mispredictions,
+    "commit_stalled_on_reexec": commit_stalled_on_reexec,
+    "reexec_port_conflicts": reexec_port_conflicts,
+    "fwd_buffer_lookups": fwd_buffer_lookups,
+    "fwd_buffer_hits": fwd_buffer_hits,
+    "store_set_squashes": store_set_squashes,
+    // Nested substrate statistics, flattened so restored cells are lossless.
+    "bp_predictions": branch_predictor.predictions,
+    "bp_mispredictions": branch_predictor.mispredictions,
+    "l1i_reads": hierarchy.l1i.reads,
+    "l1i_writes": hierarchy.l1i.writes,
+    "l1i_read_misses": hierarchy.l1i.read_misses,
+    "l1i_write_misses": hierarchy.l1i.write_misses,
+    "l1i_dirty_evictions": hierarchy.l1i.dirty_evictions,
+    "l1d_reads": hierarchy.l1d.reads,
+    "l1d_writes": hierarchy.l1d.writes,
+    "l1d_read_misses": hierarchy.l1d.read_misses,
+    "l1d_write_misses": hierarchy.l1d.write_misses,
+    "l1d_dirty_evictions": hierarchy.l1d.dirty_evictions,
+    "l2_reads": hierarchy.l2.reads,
+    "l2_writes": hierarchy.l2.writes,
+    "l2_read_misses": hierarchy.l2.read_misses,
+    "l2_write_misses": hierarchy.l2.write_misses,
+    "l2_dirty_evictions": hierarchy.l2.dirty_evictions,
+    "mem_accesses": hierarchy.memory_accesses,
+    "svw_marked_loads": svw.marked_loads,
+    "svw_filtered_loads": svw.filtered_loads,
+    "svw_reexecuted_loads": svw.reexecuted_loads,
+    "svw_reexec_mismatches": svw.reexec_mismatches,
+    "svw_wrap_drains": svw.wrap_drains,
+    "svw_ssbf_store_updates": svw.ssbf_store_updates,
+    "svw_ssbf_invalidation_updates": svw.ssbf_invalidation_updates,
 }
 
 /// The identity of one experiment cell, as recorded in (and matched against) the
@@ -235,71 +150,70 @@ pub struct CellId {
 
 /// Serializes one finished cell as a single JSONL line (no trailing newline).
 pub fn cell_line(id: &CellId, result: &Result<CpuStats, String>) -> String {
-    let mut fields: Vec<(&str, String)> = vec![
-        ("matrix", json::string(&id.matrix)),
-        ("workload", json::string(&id.workload)),
-        ("config", json::string(&id.config)),
-        ("seed", json::uint(id.seed)),
-        ("trace_len", json::uint(id.trace_len)),
-        ("fingerprint", json::uint(id.fingerprint)),
-        ("schema", json::uint(crate::registry::RESULT_SCHEMA_VERSION)),
-        ("model_version", json::uint(u64::from(id.model_version))),
-        ("spec_fingerprint", json::uint(id.spec_fingerprint)),
-    ];
+    let mut line = json::ObjectWriter::with_capacity(1280);
+    line.str("matrix", &id.matrix);
+    line.str("workload", &id.workload);
+    line.str("config", &id.config);
+    line.uint("seed", id.seed);
+    line.uint("trace_len", id.trace_len);
+    line.uint("fingerprint", id.fingerprint);
+    line.uint("schema", crate::registry::RESULT_SCHEMA_VERSION);
+    line.uint("model_version", u64::from(id.model_version));
+    line.uint("spec_fingerprint", id.spec_fingerprint);
     match result {
         Ok(stats) => {
-            fields.push(("status", json::string("ok")));
+            line.str("status", "ok");
             for f in STAT_FIELDS {
-                fields.push((f, json::uint(stat_get(stats, f))));
+                line.uint(f.name, (f.get)(stats));
             }
             // Derived metrics for human and downstream consumers (not read back).
-            fields.push(("ipc", json::number(stats.ipc())));
-            fields.push(("reexec_rate", json::number(stats.reexec_rate())));
-            fields.push(("filter_rate", json::number(stats.filter_rate())));
+            line.number("ipc", stats.ipc());
+            line.number("reexec_rate", stats.reexec_rate());
+            line.number("filter_rate", stats.filter_rate());
         }
         Err(msg) => {
-            fields.push(("status", json::string("failed")));
-            fields.push(("error", json::string(msg)));
+            line.str("status", "failed");
+            line.str("error", msg);
         }
     }
-    json::object(fields)
+    line.finish()
 }
 
 /// Parses one JSONL line back into its cell identity and result. Lines with
-/// `status: "failed"` yield `Err(error)`; malformed lines yield `None`.
+/// `status: "failed"` yield `Err(error)`; malformed lines yield `None`. The first
+/// occurrence of a duplicated key wins.
 pub fn parse_cell_line(line: &str) -> Option<(CellId, Result<CpuStats, String>)> {
-    let fields = json::parse_flat_object(line)?;
-    let lookup = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
+    let [matrix, workload, config, seed, trace_len, fingerprint, schema, model_version, spec_fingerprint, status, error, stats @ ..] =
+        json::flat_fields(line, &CELL_KEYS)?;
+    let text = |v: Option<Scalar<'_>>| v?.as_str().map(String::from);
+    let uint = |v: Option<Scalar<'_>>| v?.as_u64();
     // Lines written under a different result schema (e.g. by an older binary
     // that predates the lineage fields) fail to parse and are re-simulated.
-    if lookup("schema")?.as_u64()? != crate::registry::RESULT_SCHEMA_VERSION {
+    if uint(schema)? != crate::registry::RESULT_SCHEMA_VERSION {
         return None;
     }
     let id = CellId {
-        matrix: lookup("matrix")?.as_str()?.to_string(),
-        workload: lookup("workload")?.as_str()?.to_string(),
-        config: lookup("config")?.as_str()?.to_string(),
-        seed: lookup("seed")?.as_u64()?,
-        trace_len: lookup("trace_len")?.as_u64()?,
-        fingerprint: lookup("fingerprint")?.as_u64()?,
-        model_version: u32::try_from(lookup("model_version")?.as_u64()?).ok()?,
-        spec_fingerprint: lookup("spec_fingerprint")?.as_u64()?,
+        matrix: text(matrix)?,
+        workload: text(workload)?,
+        config: text(config)?,
+        seed: uint(seed)?,
+        trace_len: uint(trace_len)?,
+        fingerprint: uint(fingerprint)?,
+        model_version: u32::try_from(uint(model_version)?).ok()?,
+        spec_fingerprint: uint(spec_fingerprint)?,
     };
-    match lookup("status")?.as_str()? {
+    match status?.as_str()? {
         "ok" => {
-            let mut stats = CpuStats::default();
-            for f in STAT_FIELDS {
-                stat_set(&mut stats, f, lookup(f)?.as_u64()?);
+            let mut out = CpuStats::default();
+            for (f, v) in STAT_FIELDS.iter().zip(stats) {
+                (f.set)(&mut out, uint(v)?);
             }
-            Some((id, Ok(stats)))
+            Some((id, Ok(out)))
         }
-        "failed" => {
-            let msg = lookup("error")
-                .and_then(Scalar::as_str)
-                .unwrap_or("unknown failure")
-                .to_string();
-            Some((id, Err(msg)))
-        }
+        "failed" => Some((
+            id,
+            Err(text(error).unwrap_or_else(|| "unknown failure".to_string())),
+        )),
         _ => None,
     }
 }
@@ -398,7 +312,7 @@ mod tests {
     fn nonzero_stats() -> CpuStats {
         let mut s = CpuStats::default();
         for (i, f) in STAT_FIELDS.iter().enumerate() {
-            stat_set(&mut s, f, (i as u64 + 1) * 1_000_000_007);
+            (f.set)(&mut s, (i as u64 + 1) * 1_000_000_007);
         }
         s
     }
@@ -421,7 +335,7 @@ mod tests {
         assert_eq!(rid, id);
         let restored = result.expect("ok cell");
         for f in STAT_FIELDS {
-            assert_eq!(stat_get(&restored, f), stat_get(&stats, f), "field {f}");
+            assert_eq!((f.get)(&restored), (f.get)(&stats), "field {}", f.name);
         }
         // Lossless resume: the restored struct — including the nested substrate
         // statistics — must equal the original in every field.

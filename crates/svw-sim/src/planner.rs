@@ -254,24 +254,33 @@ pub fn write_plan_file(plan: &PlanFile) -> String {
 pub fn parse_plan_file(content: &str) -> Result<PlanFile, String> {
     let mut lines = content.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or("plan file is empty")?;
-    let fields = json::parse_flat_object(header).ok_or("plan header is not a flat JSON object")?;
-    let lookup = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-    let version = lookup("svw_plan")
-        .and_then(Scalar::as_u64)
-        .ok_or("plan header is missing the svw_plan version field")?;
+    let [svw_plan, artifact, trace_len, round, schema, model_version, spec_fingerprint, divergence, cells] =
+        json::flat_fields(
+            header,
+            &[
+                "svw_plan",
+                "artifact",
+                "trace_len",
+                "round",
+                "schema",
+                "model_version",
+                "spec_fingerprint",
+                "divergence",
+                "cells",
+            ],
+        )
+        .ok_or("plan header is not a flat JSON object")?;
+    let uint = |v: &Option<Scalar<'_>>| v.as_ref().and_then(Scalar::as_u64);
+    let text = |v: &Option<Scalar<'_>>| v.as_ref().and_then(Scalar::as_str).map(String::from);
+    let version = uint(&svw_plan).ok_or("plan header is missing the svw_plan version field")?;
     if version != 1 && version != PLAN_FILE_VERSION {
         return Err(format!(
             "unsupported plan version {version} (supported: 1, {PLAN_FILE_VERSION})"
         ));
     }
-    let artifact = lookup("artifact")
-        .and_then(Scalar::as_str)
-        .ok_or("plan header is missing the artifact field")?
-        .to_string();
-    let trace_len = lookup("trace_len")
-        .and_then(Scalar::as_u64)
-        .ok_or("plan header is missing the trace_len field")?;
-    let round = lookup("round").and_then(Scalar::as_u64).unwrap_or(0);
+    let artifact = text(&artifact).ok_or("plan header is missing the artifact field")?;
+    let trace_len = uint(&trace_len).ok_or("plan header is missing the trace_len field")?;
+    let round = uint(&round).unwrap_or(0);
     let (model_version, spec_fingerprint, divergence) = if version == 1 {
         // Pre-lineage plans could only have been produced by a model-v1 binary
         // from a builtin artifact definition; backfill that lineage.
@@ -280,9 +289,7 @@ pub fn parse_plan_file(content: &str) -> Result<PlanFile, String> {
             .unwrap_or(0);
         (1u64, fp, None)
     } else {
-        let schema = lookup("schema")
-            .and_then(Scalar::as_u64)
-            .ok_or("plan header is missing the schema field")?;
+        let schema = uint(&schema).ok_or("plan header is missing the schema field")?;
         if schema != registry::RESULT_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported plan result schema {schema} (this binary writes {})",
@@ -290,51 +297,38 @@ pub fn parse_plan_file(content: &str) -> Result<PlanFile, String> {
             ));
         }
         (
-            lookup("model_version")
-                .and_then(Scalar::as_u64)
-                .ok_or("plan header is missing the model_version field")?,
-            lookup("spec_fingerprint")
-                .and_then(Scalar::as_u64)
-                .ok_or("plan header is missing the spec_fingerprint field")?,
-            lookup("divergence")
-                .and_then(Scalar::as_str)
-                .map(String::from),
+            uint(&model_version).ok_or("plan header is missing the model_version field")?,
+            uint(&spec_fingerprint).ok_or("plan header is missing the spec_fingerprint field")?,
+            text(&divergence),
         )
     };
-    let expected = lookup("cells")
-        .and_then(Scalar::as_u64)
-        .ok_or("plan header is missing the cells count")? as usize;
+    let expected = uint(&cells).ok_or("plan header is missing the cells count")? as usize;
 
     let cell_model_version = u32::try_from(model_version)
         .map_err(|_| format!("plan model_version {model_version} is out of range"))?;
-    let mut cells = Vec::with_capacity(expected);
+    // The header's count is untrusted: reserve no more cells than lines remain.
+    let mut cells = Vec::with_capacity(expected.min(lines.clone().count()));
     for (i, line) in lines.enumerate() {
-        let fields = json::parse_flat_object(line)
-            .ok_or_else(|| format!("plan cell line {} is malformed", i + 1))?;
-        let lookup = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
+        let [matrix, workload, config, seed, trace_len, fingerprint] = json::flat_fields(
+            line,
+            &[
+                "matrix",
+                "workload",
+                "config",
+                "seed",
+                "trace_len",
+                "fingerprint",
+            ],
+        )
+        .ok_or_else(|| format!("plan cell line {} is malformed", i + 1))?;
         let missing = |k: &str| format!("plan cell line {} is missing {k}", i + 1);
         cells.push(CellId {
-            matrix: lookup("matrix")
-                .and_then(Scalar::as_str)
-                .ok_or_else(|| missing("matrix"))?
-                .to_string(),
-            workload: lookup("workload")
-                .and_then(Scalar::as_str)
-                .ok_or_else(|| missing("workload"))?
-                .to_string(),
-            config: lookup("config")
-                .and_then(Scalar::as_str)
-                .ok_or_else(|| missing("config"))?
-                .to_string(),
-            seed: lookup("seed")
-                .and_then(Scalar::as_u64)
-                .ok_or_else(|| missing("seed"))?,
-            trace_len: lookup("trace_len")
-                .and_then(Scalar::as_u64)
-                .ok_or_else(|| missing("trace_len"))?,
-            fingerprint: lookup("fingerprint")
-                .and_then(Scalar::as_u64)
-                .ok_or_else(|| missing("fingerprint"))?,
+            matrix: text(&matrix).ok_or_else(|| missing("matrix"))?,
+            workload: text(&workload).ok_or_else(|| missing("workload"))?,
+            config: text(&config).ok_or_else(|| missing("config"))?,
+            seed: uint(&seed).ok_or_else(|| missing("seed"))?,
+            trace_len: uint(&trace_len).ok_or_else(|| missing("trace_len"))?,
+            fingerprint: uint(&fingerprint).ok_or_else(|| missing("fingerprint"))?,
             model_version: cell_model_version,
             spec_fingerprint,
         });
@@ -529,6 +523,19 @@ mod tests {
         let truncated: String = content.lines().take(3).collect::<Vec<_>>().join("\n");
         assert!(parse_plan_file(&truncated).is_err());
         assert!(parse_plan_file("").is_err());
+    }
+
+    #[test]
+    fn an_implausible_cell_count_is_a_typed_error() {
+        // A crafted header whose count no allocation could hold must not size one.
+        let plans = artifact_plans("fig8", 2_000, &[1], 1).unwrap();
+        let file = PlanFile::from_cells("fig8", 2_000, 0, plans[0].cell_ids().cloned().collect());
+        let content = write_plan_file(&file);
+        let real = format!("\"cells\":{}", file.cells.len());
+        assert!(content.contains(&real));
+        let crafted = content.replacen(&real, &format!("\"cells\":{}", u64::MAX), 1);
+        let err = parse_plan_file(&crafted).unwrap_err();
+        assert!(err.contains("truncated?"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The unit of work is one *cell* — a `(workload, configuration, seed)` triple — and
 //! a sweep is a shared queue of cells drained by N worker threads (N = available
-//! parallelism, overridable via [`RunOptions::jobs`]). What to run arrives as a
+//! parallelism, overridable via [`RunOptions::jobs`]; a plan the result cache
+//! serves whole drains on the calling thread). What to run arrives as a
 //! typed [`SweepPlan`] (see [`crate::planner`]): [`execute_plan`] simulates the
 //! plan's in-shard cells, restores/skips the rest, and collects results in plan
 //! order. [`run_cells`] is the canonical-full-matrix convenience wrapper (it
@@ -549,7 +550,15 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
     let skipped_count = AtomicUsize::new(0);
     let cached_count = AtomicUsize::new(0);
 
-    let jobs = effective_jobs(opts.jobs, total);
+    // A plan the result cache serves whole has nothing to simulate: its hits
+    // drain on the calling thread. Spawning and joining workers would cost more
+    // than the hits themselves, and a woken thread's wait for a core varies with
+    // the host's load.
+    let jobs = if slot_cells.is_empty() {
+        1
+    } else {
+        effective_jobs(opts.jobs, total)
+    };
     if let Some(o) = opts.obs {
         if let Some(progress) = &o.progress {
             progress.add_planned(total);
@@ -568,338 +577,332 @@ pub fn execute_plan(plan: &SweepPlan, opts: &RunOptions<'_>) -> SweepResult {
             );
         }
     }
-    std::thread::scope(|scope| {
-        // The workers need their 0-based index (for the stats collector), so the
-        // closures are `move`; reborrow the shared state so only references move.
+    // The workers need their 0-based index (for the stats collector), so the
+    // closure is `move`; reborrow the shared state so only references move.
+    let drain = {
         let (tasks, programs, results, resolved) = (&tasks, &programs, &results, &resolved);
         let (slot_index, plan) = (&slot_index, &plan);
         let (next_task, restored_count, skipped_count, cached_count) =
             (&next_task, &restored_count, &skipped_count, &cached_count);
         let (stream_errors, store_errors) = (&stream_errors, &store_errors);
-        for worker in 0..jobs {
-            scope.spawn(move || {
-                // Each worker owns one simulation arena reused across every cell it
-                // drains: cell startup clears the previous cell's pipeline in place
-                // instead of rebuilding it, and the hot loop never allocates.
-                let mut arena = SimArena::new();
-                let mut wstats = WorkerStats::default();
-                loop {
-                    let t = next_task.fetch_add(1, Ordering::Relaxed);
-                    let Some(&k) = tasks.get(t) else {
-                        break;
-                    };
-                    let planned = &plan.cells[k];
-                    let id = planned.id.clone();
-                    let in_shard = planned.in_shard;
-                    let mut was_cached = false;
+        move |worker: usize| {
+            // Each worker owns one simulation arena reused across every cell it
+            // drains: cell startup clears the previous cell's pipeline in place
+            // instead of rebuilding it, and the hot loop never allocates.
+            let mut arena = SimArena::new();
+            let mut wstats = WorkerStats::default();
+            loop {
+                let t = next_task.fetch_add(1, Ordering::Relaxed);
+                let Some(&k) = tasks.get(t) else {
+                    break;
+                };
+                let planned = &plan.cells[k];
+                let id = planned.id.clone();
+                let in_shard = planned.in_shard;
+                let mut was_cached = false;
 
-                    if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
-                        events.emit_cell(event_kind::PLANNED, &id, worker, []);
+                if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
+                    events.emit_cell(event_kind::PLANNED, &id, worker, []);
+                }
+                let restored = opts.sink.and_then(|sink| sink.lookup(&id));
+                let outcome = match restored {
+                    // A cell already in the resume file is restored even when it
+                    // belongs to another shard — that is what makes re-rendering
+                    // from a merged file work without re-simulating anything.
+                    Some(stats) => {
+                        restored_count.fetch_add(1, Ordering::Relaxed);
+                        wstats.cells_restored += 1;
+                        if let Some(o) = opts.obs {
+                            if let Some(events) = &o.events {
+                                events.emit_cell(event_kind::RESTORED, &id, worker, []);
+                            }
+                            if let Some(metrics) = &o.metrics {
+                                metrics.cells_restored.inc();
+                            }
+                            if let Some(progress) = &o.progress {
+                                progress.record(CellProgress::Restored);
+                            }
+                        }
+                        Some(Ok(stats))
                     }
-                    let restored = opts.sink.and_then(|sink| sink.lookup(&id));
-                    let outcome = match restored {
-                        // A cell already in the resume file is restored even when it
-                        // belongs to another shard — that is what makes re-rendering
-                        // from a merged file work without re-simulating anything.
-                        Some(stats) => {
-                            restored_count.fetch_add(1, Ordering::Relaxed);
-                            wstats.cells_restored += 1;
-                            if let Some(o) = opts.obs {
-                                if let Some(events) = &o.events {
-                                    events.emit_cell(event_kind::RESTORED, &id, worker, []);
-                                }
-                                if let Some(metrics) = &o.metrics {
-                                    metrics.cells_restored.inc();
-                                }
-                                if let Some(progress) = &o.progress {
-                                    progress.record(CellProgress::Restored);
-                                }
+                    // Pre-resolved result-cache hit: no trace and no
+                    // simulation. The cell is still appended to the
+                    // sink (it was not restored from there), so shard
+                    // streams stay complete for merge and coordinate.
+                    None if resolved[k].is_some() => {
+                        let stats = resolved[k].clone().expect("pre-resolved cache hit");
+                        was_cached = true;
+                        cached_count.fetch_add(1, Ordering::Relaxed);
+                        wstats.cells_cached += 1;
+                        if let Some(sink) = opts.sink {
+                            if let Err(e) = sink.append(&id, &Ok(stats.clone())) {
+                                stream_errors
+                                    .lock()
+                                    .unwrap_or_else(|e| e.into_inner())
+                                    .push(e.to_string());
                             }
-                            Some(Ok(stats))
                         }
-                        // Pre-resolved result-cache hit: no trace and no
-                        // simulation. The cell is still appended to the
-                        // sink (it was not restored from there), so shard
-                        // streams stay complete for merge and coordinate.
-                        None if resolved[k].is_some() => {
-                            let stats = resolved[k].clone().expect("pre-resolved cache hit");
-                            was_cached = true;
-                            cached_count.fetch_add(1, Ordering::Relaxed);
-                            wstats.cells_cached += 1;
-                            if let Some(sink) = opts.sink {
-                                if let Err(e) = sink.append(&id, &Ok(stats.clone())) {
-                                    stream_errors
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .push(e.to_string());
-                                }
+                        if let Some(o) = opts.obs {
+                            if let Some(events) = &o.events {
+                                events.emit_cell(event_kind::CACHED, &id, worker, []);
                             }
-                            if let Some(o) = opts.obs {
-                                if let Some(events) = &o.events {
-                                    events.emit_cell(event_kind::CACHED, &id, worker, []);
-                                }
-                                if let Some(metrics) = &o.metrics {
-                                    metrics.cells_cached.inc();
-                                }
-                                if let Some(progress) = &o.progress {
-                                    progress.record(CellProgress::Cached);
-                                }
+                            if let Some(metrics) = &o.metrics {
+                                metrics.cells_cached.inc();
                             }
-                            Some(Ok(stats))
+                            if let Some(progress) = &o.progress {
+                                progress.record(CellProgress::Cached);
+                            }
                         }
-                        None if !in_shard => {
-                            skipped_count.fetch_add(1, Ordering::Relaxed);
-                            if let Some(o) = opts.obs {
-                                if let Some(events) = &o.events {
-                                    events.emit_cell(event_kind::SKIPPED, &id, worker, []);
-                                }
-                                if let Some(metrics) = &o.metrics {
-                                    metrics.cells_skipped.inc();
-                                }
-                                if let Some(progress) = &o.progress {
-                                    progress.record(CellProgress::OutOfShard);
-                                }
+                        Some(Ok(stats))
+                    }
+                    None if !in_shard => {
+                        skipped_count.fetch_add(1, Ordering::Relaxed);
+                        if let Some(o) = opts.obs {
+                            if let Some(events) = &o.events {
+                                events.emit_cell(event_kind::SKIPPED, &id, worker, []);
                             }
-                            None
+                            if let Some(metrics) = &o.metrics {
+                                metrics.cells_skipped.inc();
+                            }
+                            if let Some(progress) = &o.progress {
+                                progress.record(CellProgress::OutOfShard);
+                            }
                         }
-                        None => {
-                            let slot_ix =
-                                slot_index[k].expect("non-cached cells have a trace slot");
-                            if arena.is_warm() {
-                                wstats.resets += 1;
-                            } else {
-                                wstats.rebuilds += 1;
-                            }
-                            // Generation time for the event journal: set only by the
-                            // worker that generates the shared trace (the pair's
-                            // other cells reuse it for free).
-                            let mut generated: Option<std::time::Duration> = None;
-                            let run =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let program = {
-                                        let mut slot = programs[slot_ix]
-                                            .lock()
-                                            .unwrap_or_else(|e| e.into_inner());
-                                        if slot.program.is_none() {
-                                            let start = std::time::Instant::now();
-                                            slot.program = Some(Arc::new(
-                                                plan.workloads[planned.workload]
-                                                    .generate(plan.trace_len, id.seed),
-                                            ));
-                                            generated = Some(start.elapsed());
-                                        }
-                                        slot.program.clone().expect("slot was just filled")
-                                    };
-                                    let config = &plan.configs[planned.config];
-                                    let sim_start = std::time::Instant::now();
-                                    if let Some(oracle_opts) = opts.oracle {
-                                        // Differential mode: the golden-model
-                                        // checker observes every commit; a recorded
-                                        // divergence fails the cell without
-                                        // panicking (so it stays distinguishable
-                                        // from a simulator panic).
-                                        let mut checker = DifferentialChecker::new(
-                                            program.instructions(),
-                                            oracle_opts,
-                                        );
-                                        let stats = Cpu::recycle(&mut arena, config, &program)
-                                            .run_observed(&mut checker);
-                                        match checker.divergence() {
-                                            Some(d) => Err(format!("oracle divergence: {d}")),
-                                            None => Ok((stats, sim_start.elapsed())),
-                                        }
-                                    } else {
-                                        let stats =
-                                            Cpu::recycle(&mut arena, config, &program).run();
-                                        Ok((stats, sim_start.elapsed()))
-                                    }
-                                }));
-                            if run.is_err() {
-                                // A panicking cell may leave the arena's pipeline in an
-                                // inconsistent mid-cycle state: discard it so the next
-                                // cell rebuilds from scratch.
-                                arena = SimArena::new();
-                            }
-                            wstats.cells_simulated += 1;
-                            if let Some(collector) = opts.stats {
-                                let counter = if generated.is_some() {
-                                    &collector.traces_generated
-                                } else {
-                                    &collector.cells_shared_trace
-                                };
-                                counter.fetch_add(1, Ordering::Relaxed);
-                            }
-                            // `phase` tells a journal reader *how* the cell failed:
-                            // "oracle" (golden-model divergence) vs "panic".
-                            let (result, sim_dur, phase) = match run {
-                                Ok(Ok((stats, dur))) => (Ok(stats), Some(dur), ""),
-                                Ok(Err(divergence)) => (Err(divergence), None, "oracle"),
-                                Err(payload) => (
-                                    Err(payload
-                                        .downcast_ref::<String>()
-                                        .map(String::as_str)
-                                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                                        .unwrap_or("simulation panicked")
-                                        .to_string()),
-                                    None,
-                                    "panic",
-                                ),
+                        None
+                    }
+                    None => {
+                        let slot_ix = slot_index[k].expect("non-cached cells have a trace slot");
+                        if arena.is_warm() {
+                            wstats.resets += 1;
+                        } else {
+                            wstats.rebuilds += 1;
+                        }
+                        // Generation time for the event journal: set only by the
+                        // worker that generates the shared trace (the pair's
+                        // other cells reuse it for free).
+                        let mut generated: Option<std::time::Duration> = None;
+                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            let program = {
+                                let mut slot =
+                                    programs[slot_ix].lock().unwrap_or_else(|e| e.into_inner());
+                                if slot.program.is_none() {
+                                    let start = std::time::Instant::now();
+                                    slot.program = Some(Arc::new(
+                                        plan.workloads[planned.workload]
+                                            .generate(plan.trace_len, id.seed),
+                                    ));
+                                    generated = Some(start.elapsed());
+                                }
+                                slot.program.clone().expect("slot was just filled")
                             };
-                            if result.is_err() {
-                                wstats.cells_failed += 1;
+                            let config = &plan.configs[planned.config];
+                            let sim_start = std::time::Instant::now();
+                            if let Some(oracle_opts) = opts.oracle {
+                                // Differential mode: the golden-model
+                                // checker observes every commit; a recorded
+                                // divergence fails the cell without
+                                // panicking (so it stays distinguishable
+                                // from a simulator panic).
+                                let mut checker =
+                                    DifferentialChecker::new(program.instructions(), oracle_opts);
+                                let stats = Cpu::recycle(&mut arena, config, &program)
+                                    .run_observed(&mut checker);
+                                match checker.divergence() {
+                                    Some(d) => Err(format!("oracle divergence: {d}")),
+                                    None => Ok((stats, sim_start.elapsed())),
+                                }
+                            } else {
+                                let stats = Cpu::recycle(&mut arena, config, &program).run();
+                                Ok((stats, sim_start.elapsed()))
                             }
-                            // Publish the freshly simulated cell back to the
-                            // result cache (successes only — failed cells
-                            // re-run, exactly like on resume). A store error
-                            // degrades to one aggregated warning; the sweep
-                            // never aborts on cache I/O.
-                            if let (Some(rc), Ok(stats)) = (opts.result_cache, &result) {
-                                let store_start = std::time::Instant::now();
-                                let stored = rc.store(&id, stats);
-                                if let Some(metrics) = opts.obs.and_then(|o| o.metrics.as_ref()) {
-                                    metrics.result_cache_seconds.record(store_start.elapsed());
-                                    if stored.is_ok() {
-                                        metrics.result_cache_stores.inc();
-                                    }
-                                }
-                                if let Err(e) = stored {
-                                    store_errors
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .push(e.to_string());
+                        }));
+                        if run.is_err() {
+                            // A panicking cell may leave the arena's pipeline in an
+                            // inconsistent mid-cycle state: discard it so the next
+                            // cell rebuilds from scratch.
+                            arena = SimArena::new();
+                        }
+                        wstats.cells_simulated += 1;
+                        if let Some(collector) = opts.stats {
+                            let counter = if generated.is_some() {
+                                &collector.traces_generated
+                            } else {
+                                &collector.cells_shared_trace
+                            };
+                            counter.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // `phase` tells a journal reader *how* the cell failed:
+                        // "oracle" (golden-model divergence) vs "panic".
+                        let (result, sim_dur, phase) = match run {
+                            Ok(Ok((stats, dur))) => (Ok(stats), Some(dur), ""),
+                            Ok(Err(divergence)) => (Err(divergence), None, "oracle"),
+                            Err(payload) => (
+                                Err(payload
+                                    .downcast_ref::<String>()
+                                    .map(String::as_str)
+                                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                                    .unwrap_or("simulation panicked")
+                                    .to_string()),
+                                None,
+                                "panic",
+                            ),
+                        };
+                        if result.is_err() {
+                            wstats.cells_failed += 1;
+                        }
+                        // Publish the freshly simulated cell back to the
+                        // result cache (successes only — failed cells
+                        // re-run, exactly like on resume). A store error
+                        // degrades to one aggregated warning; the sweep
+                        // never aborts on cache I/O.
+                        if let (Some(rc), Ok(stats)) = (opts.result_cache, &result) {
+                            let store_start = std::time::Instant::now();
+                            let stored = rc.store(&id, stats);
+                            if let Some(metrics) = opts.obs.and_then(|o| o.metrics.as_ref()) {
+                                metrics.result_cache_seconds.record(store_start.elapsed());
+                                if stored.is_ok() {
+                                    metrics.result_cache_stores.inc();
                                 }
                             }
-                            if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
-                                if let Some(dur) = generated {
-                                    events.emit_cell(
-                                        event_kind::TRACE_ACQUIRED,
-                                        &id,
-                                        worker,
-                                        [("dur_us", json::number(dur.as_secs_f64() * 1e6))],
-                                    );
-                                }
-                                match (&result, sim_dur) {
-                                    (Ok(stats), Some(dur)) => events.emit_cell(
-                                        event_kind::SIMULATED,
-                                        &id,
-                                        worker,
-                                        [
-                                            ("cycles", json::uint(stats.cycles)),
-                                            ("dur_us", json::number(dur.as_secs_f64() * 1e6)),
-                                        ],
-                                    ),
-                                    _ => events.emit_cell(
-                                        event_kind::FAILED,
-                                        &id,
-                                        worker,
-                                        [
-                                            (
-                                                "error",
-                                                json::string(
-                                                    result
-                                                        .as_ref()
-                                                        .err()
-                                                        .map_or("", String::as_str),
-                                                ),
+                            if let Err(e) = stored {
+                                store_errors
+                                    .lock()
+                                    .unwrap_or_else(|e| e.into_inner())
+                                    .push(e.to_string());
+                            }
+                        }
+                        if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
+                            if let Some(dur) = generated {
+                                events.emit_cell(
+                                    event_kind::TRACE_ACQUIRED,
+                                    &id,
+                                    worker,
+                                    [("dur_us", json::number(dur.as_secs_f64() * 1e6))],
+                                );
+                            }
+                            match (&result, sim_dur) {
+                                (Ok(stats), Some(dur)) => events.emit_cell(
+                                    event_kind::SIMULATED,
+                                    &id,
+                                    worker,
+                                    [
+                                        ("cycles", json::uint(stats.cycles)),
+                                        ("dur_us", json::number(dur.as_secs_f64() * 1e6)),
+                                    ],
+                                ),
+                                _ => events.emit_cell(
+                                    event_kind::FAILED,
+                                    &id,
+                                    worker,
+                                    [
+                                        (
+                                            "error",
+                                            json::string(
+                                                result.as_ref().err().map_or("", String::as_str),
                                             ),
-                                            ("phase", json::string(phase)),
-                                        ],
-                                    ),
-                                }
+                                        ),
+                                        ("phase", json::string(phase)),
+                                    ],
+                                ),
                             }
-                            let mut write_dur = None;
-                            if let Some(sink) = opts.sink {
-                                let write_start = std::time::Instant::now();
-                                if let Err(e) = sink.append(&id, &result) {
-                                    stream_errors
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .push(e.to_string());
-                                }
-                                write_dur = Some(write_start.elapsed());
-                                if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
-                                    events.emit_cell(
-                                        event_kind::WRITTEN,
-                                        &id,
-                                        worker,
-                                        [(
-                                            "dur_us",
-                                            json::number(write_dur.unwrap().as_secs_f64() * 1e6),
-                                        )],
-                                    );
-                                }
-                            }
-                            if let Some(o) = opts.obs {
-                                if let Some(metrics) = &o.metrics {
-                                    if let Some(dur) = generated {
-                                        metrics.traces_generated.inc();
-                                        metrics.trace_acquire_seconds.record(dur);
-                                    }
-                                    match &result {
-                                        Ok(stats) => {
-                                            metrics.cells_simulated.inc();
-                                            metrics.sim_cycles.add(stats.cycles);
-                                            metrics
-                                                .fwd_buffer_lookups
-                                                .add(stats.fwd_buffer_lookups);
-                                            metrics.fwd_buffer_hits.add(stats.fwd_buffer_hits);
-                                            metrics
-                                                .store_set_squashes
-                                                .add(stats.store_set_squashes);
-                                        }
-                                        Err(_) => metrics.cells_failed.inc(),
-                                    }
-                                    if let Some(dur) = sim_dur {
-                                        metrics.simulate_seconds.record(dur);
-                                    }
-                                    if let Some(dur) = write_dur {
-                                        metrics.write_seconds.record(dur);
-                                    }
-                                }
-                                if let Some(progress) = &o.progress {
-                                    progress.record(if result.is_ok() {
-                                        CellProgress::Simulated
-                                    } else {
-                                        CellProgress::Failed
-                                    });
-                                }
-                            }
-                            Some(result)
                         }
-                    };
-
-                    // Whether simulated, restored, skipped, or failed, this
-                    // (workload, seed) pair has one fewer cell outstanding; free the
-                    // trace after the last one, so sweep memory stays bounded by the
-                    // traces in active use. Cache-served cells have no slot: they
-                    // never joined a trace group in the first place.
-                    if let Some(slot_ix) = slot_index[k] {
-                        let mut slot = programs[slot_ix].lock().unwrap_or_else(|e| e.into_inner());
-                        slot.remaining -= 1;
-                        if slot.remaining == 0 {
-                            slot.program = None;
+                        let mut write_dur = None;
+                        if let Some(sink) = opts.sink {
+                            let write_start = std::time::Instant::now();
+                            if let Err(e) = sink.append(&id, &result) {
+                                stream_errors
+                                    .lock()
+                                    .unwrap_or_else(|e| e.into_inner())
+                                    .push(e.to_string());
+                            }
+                            write_dur = Some(write_start.elapsed());
+                            if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
+                                events.emit_cell(
+                                    event_kind::WRITTEN,
+                                    &id,
+                                    worker,
+                                    [(
+                                        "dur_us",
+                                        json::number(write_dur.unwrap().as_secs_f64() * 1e6),
+                                    )],
+                                );
+                            }
                         }
+                        if let Some(o) = opts.obs {
+                            if let Some(metrics) = &o.metrics {
+                                if let Some(dur) = generated {
+                                    metrics.traces_generated.inc();
+                                    metrics.trace_acquire_seconds.record(dur);
+                                }
+                                match &result {
+                                    Ok(stats) => {
+                                        metrics.cells_simulated.inc();
+                                        metrics.sim_cycles.add(stats.cycles);
+                                        metrics.fwd_buffer_lookups.add(stats.fwd_buffer_lookups);
+                                        metrics.fwd_buffer_hits.add(stats.fwd_buffer_hits);
+                                        metrics.store_set_squashes.add(stats.store_set_squashes);
+                                    }
+                                    Err(_) => metrics.cells_failed.inc(),
+                                }
+                                if let Some(dur) = sim_dur {
+                                    metrics.simulate_seconds.record(dur);
+                                }
+                                if let Some(dur) = write_dur {
+                                    metrics.write_seconds.record(dur);
+                                }
+                            }
+                            if let Some(progress) = &o.progress {
+                                progress.record(if result.is_ok() {
+                                    CellProgress::Simulated
+                                } else {
+                                    CellProgress::Failed
+                                });
+                            }
+                        }
+                        Some(result)
                     }
+                };
 
-                    let cell = ExperimentCell {
-                        workload: id.workload,
-                        config: id.config,
-                        seed: id.seed,
-                        outcome: match outcome {
-                            Some(Ok(stats)) if was_cached => CellOutcome::Cached(Box::new(stats)),
-                            Some(Ok(stats)) => CellOutcome::Ok(Box::new(stats)),
-                            Some(Err(msg)) => CellOutcome::Failed(msg),
-                            None => CellOutcome::Skipped,
-                        },
-                    };
-                    results.lock().unwrap_or_else(|e| e.into_inner())[k] = Some(cell);
+                // Whether simulated, restored, skipped, or failed, this
+                // (workload, seed) pair has one fewer cell outstanding; free the
+                // trace after the last one, so sweep memory stays bounded by the
+                // traces in active use. Cache-served cells have no slot: they
+                // never joined a trace group in the first place.
+                if let Some(slot_ix) = slot_index[k] {
+                    let mut slot = programs[slot_ix].lock().unwrap_or_else(|e| e.into_inner());
+                    slot.remaining -= 1;
+                    if slot.remaining == 0 {
+                        slot.program = None;
+                    }
                 }
-                if let Some(collector) = opts.stats {
-                    collector.record_worker(worker, &wstats);
-                }
-            });
+
+                let cell = ExperimentCell {
+                    workload: id.workload,
+                    config: id.config,
+                    seed: id.seed,
+                    outcome: match outcome {
+                        Some(Ok(stats)) if was_cached => CellOutcome::Cached(Box::new(stats)),
+                        Some(Ok(stats)) => CellOutcome::Ok(Box::new(stats)),
+                        Some(Err(msg)) => CellOutcome::Failed(msg),
+                        None => CellOutcome::Skipped,
+                    },
+                };
+                results.lock().unwrap_or_else(|e| e.into_inner())[k] = Some(cell);
+            }
+            if let Some(collector) = opts.stats {
+                collector.record_worker(worker, &wstats);
+            }
         }
-    });
+    };
+    if jobs == 1 {
+        drain(0);
+    } else {
+        std::thread::scope(|scope| {
+            for worker in 0..jobs {
+                scope.spawn(move || drain(worker));
+            }
+        });
+    }
 
     if let Some(events) = opts.obs.and_then(|o| o.events.as_ref()) {
         events.emit(
@@ -1116,6 +1119,7 @@ mod tests {
         };
         let collector = StatsCollector::new();
         let warm_opts = RunOptions {
+            jobs: 2,
             result_cache: Some(&rc),
             stats: Some(&collector),
             ..RunOptions::default()
@@ -1126,6 +1130,8 @@ mod tests {
         let warm = run_cells("test", &workloads, &configs, 2_000, &[1, 2], 0, &warm_opts);
         assert_eq!(warm.cached, 4, "every cell is served from the cache");
         assert!(warm.cells.iter().all(ExperimentCell::is_cached));
+        // Nothing to simulate: the hits drain on the calling thread alone.
+        assert_eq!(collector.workers().len(), 1);
         let simulated: u64 = collector.workers().iter().map(|w| w.cells_simulated).sum();
         let cached: u64 = collector.workers().iter().map(|w| w.cells_cached).sum();
         assert_eq!((simulated, cached), (0, 4));

@@ -10,6 +10,9 @@ use crate::codec::{decode_inst, CodecState};
 use crate::varint::read_u64;
 use crate::{fnv1a, TraceError, FNV_OFFSET, FORMAT_VERSION, MAGIC};
 
+/// Most records [`TraceReader::read_program`] reserves room for before any is read.
+const PREALLOC_RECORDS: u64 = 1 << 12;
+
 /// The parsed fixed-size portion of a `.svwt` file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceHeader {
@@ -144,7 +147,10 @@ impl<R: Read> TraceReader<R> {
     /// Materializes every remaining record into a [`Program`] (verifying the
     /// checksum).
     pub fn read_program(mut self) -> Result<Program, TraceError> {
-        let mut trace = Vec::with_capacity((self.header.count - self.next_seq) as usize);
+        // The header's count is untrusted: reserve at most a bounded prefix, and
+        // let records the input really holds pay for the rest.
+        let remaining = self.header.count - self.next_seq;
+        let mut trace = Vec::with_capacity(remaining.min(PREALLOC_RECORDS) as usize);
         while let Some(inst) = self.next_record()? {
             trace.push(inst);
         }
@@ -252,6 +258,20 @@ mod tests {
             }
         }
         assert!(matches!(outcome, Err(TraceError::ChecksumMismatch { .. })));
+    }
+
+    #[test]
+    fn an_implausible_record_count_is_a_typed_error() {
+        // A crafted header whose count no allocation could hold must not size one.
+        let (mut bytes, _) = sample_bytes();
+        let count_at = 4 + 2 + 2 + 8 + 8 + 8;
+        bytes[count_at..count_at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        let reader = TraceReader::new(bytes.as_slice()).unwrap();
+        assert_eq!(reader.header().count, u64::MAX / 2);
+        assert!(matches!(
+            reader.read_program(),
+            Err(TraceError::Io(_) | TraceError::Corrupt(_))
+        ));
     }
 
     #[test]
